@@ -1,6 +1,6 @@
 // Substrate microbenchmarks (google-benchmark): GEMM throughput at the
-// shapes the PRIONN models actually use, im2col lowering, and one
-// mini-batch forward/backward of the paper's 2D-CNN. Not a paper figure —
+// shapes the PRIONN models actually use, and one mini-batch
+// forward/backward of the paper's 2D-CNN. Not a paper figure —
 // these validate that the from-scratch substrate is fast enough to stand
 // in for the paper's GPU stack on comparative-timing claims.
 #include <benchmark/benchmark.h>
@@ -11,26 +11,11 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
 using namespace prionn;
 
 namespace {
-
-void BM_GemmConvShape(benchmark::State& state) {
-  // Conv1 of the fast 2D-CNN, lowered: (oc x patch_rows) x (pr x N*pixels).
-  const std::size_t m = 8, k = 36, n = 32 * 4096;
-  std::vector<float> a(m * k, 0.5f), b(k * n, 0.25f), c(m * n);
-  for (auto _ : state) {
-    tensor::gemm(m, k, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      static_cast<double>(2 * m * k * n),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
 
 void BM_GemmDenseShape(benchmark::State& state) {
   // The 960-way runtime head: (batch x features) x (features x classes).
@@ -44,20 +29,6 @@ void BM_GemmDenseShape(benchmark::State& state) {
       static_cast<double>(2 * m * k * n),
       benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
-}
-
-void BM_Im2col(benchmark::State& state) {
-  tensor::Conv2dGeom g;
-  g.channels = 4;
-  g.height = g.width = 64;
-  g.kernel_h = g.kernel_w = 3;
-  g.pad_h = g.pad_w = 1;
-  std::vector<float> image(g.channels * g.height * g.width, 1.0f);
-  std::vector<float> cols(g.patch_rows() * g.patch_cols());
-  for (auto _ : state) {
-    tensor::im2col(g, image.data(), cols.data());
-    benchmark::DoNotOptimize(cols.data());
-  }
 }
 
 void BM_Cnn2dTrainStep(benchmark::State& state) {
@@ -81,9 +52,7 @@ void BM_Cnn2dTrainStep(benchmark::State& state) {
       32.0, benchmark::Counter::kIsIterationInvariantRate);
 }
 
-BENCHMARK(BM_GemmConvShape)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GemmDenseShape)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Im2col)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Cnn2dTrainStep)
     ->Arg(0)
     ->Arg(1)

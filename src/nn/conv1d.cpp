@@ -58,7 +58,7 @@ Shape Conv1d::output_shape(const Shape& input) const {
 }
 
 namespace {
-// Same sub-batch bound as Conv2d: cap the lowered patch matrix size.
+// Cap the lowered patch matrix size per sub-batch.
 constexpr std::size_t kMaxColsFloats1d = 16u << 20;  // 64 MiB
 }  // namespace
 
@@ -73,7 +73,9 @@ Tensor Conv1d::forward(const Tensor& input, bool /*training*/) {
   const std::size_t in_stride = geom_.channels * geom_.length;
   Tensor out({batch, oc, ol});
 
-  // Batched lowering: one GEMM per sub-batch (see Conv2d::forward).
+  // Batched lowering: each sample occupies a contiguous column block of
+  // one wide patch matrix, multiplied by the kernel in one GEMM per
+  // sub-batch.
   const std::size_t chunk =
       std::clamp<std::size_t>(kMaxColsFloats1d / (pr * ol), 1, batch);
   std::vector<float> cols(pr * chunk * ol);

@@ -1,6 +1,9 @@
-// 2-D convolution over (N, C, H, W) batches via im2col + GEMM. This is the
-// workhorse of the paper's chosen model (2D-CNN over 64 x 64 script
-// images).
+// 2-D convolution over (N, C, H, W) batches. This is the workhorse of the
+// paper's chosen model (2D-CNN over 64 x 64 script images). Direct
+// kernels over a zero-padded copy of each sample: every (c, kh, kw) tap
+// is one flat, vectorisable loop at the padded row pitch, for the output,
+// the input gradient and the weight gradient alike, so no patch matrix is
+// ever built. The kernels run on the calling thread.
 #pragma once
 
 #include <memory>

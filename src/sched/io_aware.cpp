@@ -160,9 +160,13 @@ IoAwareResult IoAwareSimulator::run(const std::vector<IoSimJob>& jobs) {
     try_start_jobs();
   }
   while (!running_.empty() || !queue_.empty()) {
+    // Same event sources as advance_to. An expired hold is not an event:
+    // a head still short of nodes waits for the next completion.
     double next = next_completion();
-    if (head_waiting_since_ >= 0.0)
-      next = std::min(next, head_waiting_since_ + options_.max_io_hold);
+    if (head_waiting_since_ >= 0.0) {
+      const double release = head_waiting_since_ + options_.max_io_hold;
+      if (release > now_) next = std::min(next, release);
+    }
     if (next == kInfinity)
       throw std::logic_error("IoAwareSimulator: deadlocked queue");
     advance_to(next);

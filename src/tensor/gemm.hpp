@@ -1,6 +1,7 @@
-// Single-precision general matrix multiply, the computational core of both
-// the dense layers and the im2col convolutions. Cache-blocked with a
-// vectorisable micro-kernel and optional thread-pool row parallelism.
+// Single-precision general matrix multiply, the computational core of the
+// dense layers and of the im2col-lowered Conv1d (Conv2d runs direct
+// kernels instead, see nn/conv2d.hpp). Cache-blocked with a vectorisable
+// micro-kernel and optional thread-pool row parallelism.
 #pragma once
 
 #include <cstddef>

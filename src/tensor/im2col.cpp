@@ -2,78 +2,6 @@
 
 namespace prionn::tensor {
 
-void im2col_strided(const Conv2dGeom& g, const float* image, float* cols,
-                    std::size_t ld) noexcept {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.channels; ++c) {
-    const float* plane = image + c * g.height * g.width;
-    for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        float* out = cols + row * ld;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          // Signed arithmetic: padding can push the tap before row/col 0.
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * g.stride_h + kh) -
-              static_cast<std::ptrdiff_t>(g.pad_h);
-          const bool y_ok =
-              iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.height);
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * g.stride_w + kw) -
-                static_cast<std::ptrdiff_t>(g.pad_w);
-            const bool x_ok =
-                ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.width);
-            out[oy * ow + ox] =
-                (y_ok && x_ok)
-                    ? plane[static_cast<std::size_t>(iy) * g.width +
-                            static_cast<std::size_t>(ix)]
-                    : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void im2col(const Conv2dGeom& g, const float* image, float* cols) noexcept {
-  im2col_strided(g, image, cols, g.patch_cols());
-}
-
-void col2im_strided(const Conv2dGeom& g, const float* cols, std::size_t ld,
-                    float* image_grad) noexcept {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < g.channels; ++c) {
-    float* plane = image_grad + c * g.height * g.width;
-    for (std::size_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-        const float* in = cols + row * ld;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * g.stride_h + kh) -
-              static_cast<std::ptrdiff_t>(g.pad_h);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.height)) continue;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * g.stride_w + kw) -
-                static_cast<std::ptrdiff_t>(g.pad_w);
-            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(g.width))
-              continue;
-            plane[static_cast<std::size_t>(iy) * g.width +
-                  static_cast<std::size_t>(ix)] += in[oy * ow + ox];
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im(const Conv2dGeom& g, const float* cols,
-            float* image_grad) noexcept {
-  col2im_strided(g, cols, g.patch_cols(), image_grad);
-}
-
 void im2col_1d_strided(const Conv1dGeom& g, const float* signal, float* cols,
                        std::size_t ld) noexcept {
   const std::size_t ol = g.out_len();

@@ -1,6 +1,6 @@
-// im2col / col2im lowering: turns convolution into GEMM, the classic
-// approach used by Caffe-era frameworks and the right trade-off for the
-// small images (64 x 64 script grids) this library convolves.
+// Convolution geometry, and the 1-D im2col / col2im lowering that turns
+// Conv1d into GEMM (the classic Caffe-era approach). Conv2d runs direct
+// kernels instead (nn/conv2d.cpp) and only uses Conv2dGeom from here.
 #pragma once
 
 #include <cstddef>
@@ -20,34 +20,13 @@ struct Conv2dGeom {
   std::size_t out_w() const noexcept {
     return (width + 2 * pad_w - kernel_w) / stride_w + 1;
   }
-  /// Rows of the lowered patch matrix: one per (c, kh, kw) tap.
+  /// Taps per output pixel: one per (c, kh, kw).
   std::size_t patch_rows() const noexcept {
     return channels * kernel_h * kernel_w;
   }
-  /// Columns of the lowered patch matrix: one per output pixel.
+  /// Output pixels per channel.
   std::size_t patch_cols() const noexcept { return out_h() * out_w(); }
 };
-
-/// Lower `image` (C x H x W, row-major) to `cols` (patch_rows x patch_cols).
-/// Out-of-bounds taps (padding) contribute zero.
-void im2col(const Conv2dGeom& g, const float* image, float* cols) noexcept;
-
-/// Strided variant for batched lowering: patch row r of this sample is
-/// written at cols[r * ld ..], so several samples can share one wide patch
-/// matrix (each occupying a contiguous column block) and be multiplied by
-/// the kernel in a single GEMM.
-void im2col_strided(const Conv2dGeom& g, const float* image, float* cols,
-                    std::size_t ld) noexcept;
-
-/// Scatter-add the lowered gradient back to image space (the adjoint of
-/// im2col). `image_grad` must be zeroed by the caller beforehand if it
-/// should not accumulate.
-void col2im(const Conv2dGeom& g, const float* cols,
-            float* image_grad) noexcept;
-
-/// Strided adjoint matching im2col_strided.
-void col2im_strided(const Conv2dGeom& g, const float* cols, std::size_t ld,
-                    float* image_grad) noexcept;
 
 struct Conv1dGeom {
   std::size_t channels = 1;

@@ -1,11 +1,17 @@
 // Unit tests for the NN substrate: finite-difference gradient checks for
-// every layer, loss correctness, optimiser behaviour, end-to-end learning
-// on a tiny task, and serialisation round trips.
+// every layer, Conv2d against plain reference loops, loss correctness,
+// optimiser behaviour, end-to-end learning on a tiny task, and
+// serialisation round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -287,6 +293,248 @@ TEST(Shapes, FlattenCollapses) {
   nn::Flatten f;
   EXPECT_EQ(f.output_shape({4, 8, 8}), (prionn::tensor::Shape{256}));
 }
+
+// ------------------------------------------------------------- conv2d ---
+
+namespace {
+
+struct ConvCase {
+  std::size_t in_c, out_c, height, width, kernel_h, kernel_w, stride, pad;
+};
+
+// The four Conv2d layers of build_model's fast preset (64 x 64 input),
+// then stride 2 without padding, a rectangular 3x5 kernel and a
+// single-channel input.
+const ConvCase kConvCases[] = {
+    {4, 4, 64, 64, 3, 3, 1, 1}, {4, 8, 32, 32, 3, 3, 1, 1},
+    {8, 8, 16, 16, 3, 3, 1, 1}, {8, 16, 8, 8, 3, 3, 1, 1},
+    {3, 4, 9, 11, 3, 3, 2, 0},  {2, 5, 7, 9, 3, 5, 1, 1},
+    {1, 3, 6, 5, 3, 3, 1, 1},
+};
+const std::span<const ConvCase> kModelConvCases =
+    std::span(kConvCases).first(4);
+
+nn::Conv2d make_conv(const ConvCase& k, std::uint64_t seed) {
+  return nn::Conv2d(
+      random_tensor({k.out_c, k.in_c, k.kernel_h, k.kernel_w}, seed),
+      random_tensor({k.out_c}, seed + 1), k.stride, k.pad);
+}
+
+/// Input value at padded coordinates (iy, ix) of (sample n, channel c),
+/// zero outside the image.
+template <typename T>
+T padded_at(const Tensor& x, std::size_t n, std::size_t c, std::ptrdiff_t iy,
+            std::ptrdiff_t ix) {
+  const auto h = static_cast<std::ptrdiff_t>(x.dim(2));
+  const auto w = static_cast<std::ptrdiff_t>(x.dim(3));
+  if (iy < 0 || iy >= h || ix < 0 || ix >= w) return T(0);
+  return static_cast<T>(
+      x[((n * x.dim(1) + c) * x.dim(2) + static_cast<std::size_t>(iy)) *
+            x.dim(3) +
+        static_cast<std::size_t>(ix)]);
+}
+
+std::ptrdiff_t tap(std::size_t o, std::size_t k, const ConvCase& g) {
+  return static_cast<std::ptrdiff_t>(o * g.stride + k) -
+         static_cast<std::ptrdiff_t>(g.pad);
+}
+
+/// The plain convolution loop, in float: each output sums its taps in
+/// (c, kh, kw) order starting from zero, padding taps included, and adds
+/// the bias last.
+Tensor naive_forward(const ConvCase& g, const Tensor& w, const Tensor& b,
+                     const Tensor& x) {
+  const std::size_t oh = (g.height + 2 * g.pad - g.kernel_h) / g.stride + 1;
+  const std::size_t ow = (g.width + 2 * g.pad - g.kernel_w) / g.stride + 1;
+  Tensor out({x.dim(0), g.out_c, oh, ow});
+  std::size_t i = 0;
+  for (std::size_t n = 0; n < x.dim(0); ++n)
+    for (std::size_t o = 0; o < g.out_c; ++o)
+      for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          float acc = 0.0f;
+          std::size_t t = o * g.in_c * g.kernel_h * g.kernel_w;
+          for (std::size_t c = 0; c < g.in_c; ++c)
+            for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+              for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++t)
+                acc += w[t] * padded_at<float>(x, n, c, tap(oy, kh, g),
+                                               tap(ox, kw, g));
+          out[i++] = acc + b[o];
+        }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// max |got - want| <= tol * max |want|.
+void expect_close(const Tensor& got, const std::vector<double>& want,
+                  double tol, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  double scale = 0.0, err = 0.0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    scale = std::max(scale, std::abs(want[i]));
+    err = std::max(err, std::abs(static_cast<double>(got[i]) - want[i]));
+  }
+  EXPECT_LE(err, tol * scale) << what << " (scale " << scale << ")";
+}
+
+}  // namespace
+
+TEST(Conv2dKernel, ForwardMatchesNaiveLoopBitwise) {
+  std::uint64_t seed = 100;
+  for (const ConvCase& g : kConvCases)
+    for (const std::size_t batch : {1u, 3u}) {
+      nn::Conv2d conv = make_conv(g, seed);
+      const Tensor x =
+          random_tensor({batch, g.in_c, g.height, g.width}, seed + 2);
+      seed += 3;
+      const Tensor want =
+          naive_forward(g, *conv.parameters()[0], *conv.parameters()[1], x);
+      EXPECT_TRUE(same_bits(conv.forward(x, false), want))
+          << g.in_c << "->" << g.out_c << " " << g.height << "x" << g.width
+          << " k" << g.kernel_h << "x" << g.kernel_w << " s" << g.stride
+          << " p" << g.pad << " batch " << batch;
+    }
+}
+
+TEST(Conv2dKernel, SampleOfBatchEqualsSampleAlone) {
+  std::uint64_t seed = 200;
+  for (const ConvCase& g : kConvCases) {
+    nn::Conv2d conv = make_conv(g, seed);
+    constexpr std::size_t kBatch = 5;
+    const Tensor x =
+        random_tensor({kBatch, g.in_c, g.height, g.width}, seed + 2);
+    seed += 3;
+    const Tensor all = conv.forward(x, false);
+    const std::size_t in_size = x.size() / kBatch;
+    const std::size_t out_size = all.size() / kBatch;
+    for (std::size_t n = 0; n < kBatch; ++n) {
+      Tensor one({1, g.in_c, g.height, g.width});
+      std::copy_n(x.data() + n * in_size, in_size, one.data());
+      const Tensor alone = conv.forward(one, false);
+      ASSERT_EQ(alone.size(), out_size);
+      EXPECT_EQ(std::memcmp(alone.data(), all.data() + n * out_size,
+                            out_size * sizeof(float)),
+                0)
+          << "sample " << n << " of " << g.in_c << "->" << g.out_c << " "
+          << g.height << "x" << g.width;
+    }
+  }
+}
+
+TEST(Conv2dKernel, GradientsMatchDoublePrecisionReference) {
+  constexpr std::size_t kBatch = 32;
+  std::uint64_t seed = 300;
+  for (const ConvCase& g : kModelConvCases) {
+    nn::Conv2d conv = make_conv(g, seed);
+    const Tensor x = random_tensor({kBatch, g.in_c, g.height, g.width},
+                                   seed + 2);
+    const Tensor y = conv.forward(x, true);
+    const Tensor dy = random_tensor(y.shape(), seed + 3);
+    seed += 4;
+    conv.zero_gradients();
+    const Tensor dx = conv.backward(dy);
+
+    const Tensor& w = *conv.parameters()[0];
+    std::vector<double> want_dx(x.size(), 0.0), want_dw(w.size(), 0.0),
+        want_db(g.out_c, 0.0);
+    const std::size_t oh = y.dim(2), ow = y.dim(3);
+    std::size_t i = 0;
+    for (std::size_t n = 0; n < kBatch; ++n)
+      for (std::size_t o = 0; o < g.out_c; ++o)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const double d = dy[i++];
+            want_db[o] += d;
+            std::size_t t = o * g.in_c * g.kernel_h * g.kernel_w;
+            for (std::size_t c = 0; c < g.in_c; ++c)
+              for (std::size_t kh = 0; kh < g.kernel_h; ++kh)
+                for (std::size_t kw = 0; kw < g.kernel_w; ++kw, ++t) {
+                  const std::ptrdiff_t iy = tap(oy, kh, g),
+                                       ix = tap(ox, kw, g);
+                  want_dw[t] += d * padded_at<double>(x, n, c, iy, ix);
+                  if (iy < 0 || ix < 0 ||
+                      iy >= static_cast<std::ptrdiff_t>(g.height) ||
+                      ix >= static_cast<std::ptrdiff_t>(g.width))
+                    continue;
+                  want_dx[((n * g.in_c + c) * g.height +
+                           static_cast<std::size_t>(iy)) *
+                              g.width +
+                          static_cast<std::size_t>(ix)] += d * w[t];
+                }
+          }
+    SCOPED_TRACE(std::to_string(g.in_c) + "->" + std::to_string(g.out_c) +
+                 " " + std::to_string(g.height) + "x" +
+                 std::to_string(g.width));
+    expect_close(dx, want_dx, 1e-4, "dX");
+    expect_close(*conv.gradients()[0], want_dw, 1e-4, "dW");
+    expect_close(*conv.gradients()[1], want_db, 1e-4, "db");
+  }
+}
+
+TEST(Conv2dKernel, IdentityKernelNoPad) {
+  // 1x1 kernel of weight 1, zero bias: the output is the input.
+  nn::Conv2d conv(Tensor({1, 1, 1, 1}, 1.0f), Tensor({1}), 1, 0);
+  const Tensor x({1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
+  EXPECT_TRUE(same_bits(conv.forward(x, false), x));
+}
+
+TEST(Conv2dKernel, KnownSmallCase) {
+  // 2x2 image, 2x2 kernel, stride 1, no pad: one output pixel covering
+  // the whole image.
+  nn::Conv2d conv(Tensor({1, 1, 2, 2}, {1, 10, 100, 1000}), Tensor({1}, 0.5f),
+                  1, 0);
+  const Tensor out = conv.forward(Tensor({1, 1, 2, 2}, {1, 2, 3, 4}), false);
+  ASSERT_EQ(out.shape(), (prionn::tensor::Shape{1, 1, 1, 1}));
+  EXPECT_FLOAT_EQ(out[0], 4321.5f);
+}
+
+TEST(Conv2dKernel, PaddingYieldsZeros) {
+  // 1x1 image, 3x3 kernel, pad 1: only the centre tap sees the pixel.
+  Tensor w({1, 1, 3, 3}, 1.0f);
+  w[4] = 2.0f;
+  nn::Conv2d conv(std::move(w), Tensor({1}), 1, 1);
+  const Tensor out = conv.forward(Tensor({1, 1, 1, 1}, 7.0f), false);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FLOAT_EQ(out[0], 14.0f);
+}
+
+struct ConvGeomCase {
+  std::size_t channels, height, width, kernel, stride, pad;
+};
+
+class Conv2dAdjoint : public ::testing::TestWithParam<ConvGeomCase> {};
+
+// With zero bias, <forward(x), y> == <x, backward(y)>: the input gradient
+// is the adjoint of the convolution, which is what backprop relies on.
+TEST_P(Conv2dAdjoint, DotProductIdentity) {
+  const auto p = GetParam();
+  constexpr std::size_t kOut = 2;
+  nn::Conv2d conv(random_tensor({kOut, p.channels, p.kernel, p.kernel}, 11),
+                  Tensor({kOut}), p.stride, p.pad);
+  const Tensor x = random_tensor({2, p.channels, p.height, p.width}, 12);
+  const Tensor fx = conv.forward(x, false);
+  const Tensor y = random_tensor(fx.shape(), 13);
+  const Tensor by = conv.backward(y);
+
+  double lhs = 0.0, rhs = 0.0;
+  for (std::size_t i = 0; i < fx.size(); ++i)
+    lhs += static_cast<double>(fx[i]) * y[i];
+  for (std::size_t i = 0; i < x.size(); ++i)
+    rhs += static_cast<double>(x[i]) * by[i];
+  EXPECT_NEAR(lhs, rhs, 1e-3 * std::max(1.0, std::abs(lhs)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, Conv2dAdjoint,
+    ::testing::Values(ConvGeomCase{1, 4, 4, 3, 1, 1},
+                      ConvGeomCase{3, 8, 8, 3, 1, 1},
+                      ConvGeomCase{2, 6, 5, 3, 2, 0},
+                      ConvGeomCase{4, 7, 7, 5, 1, 2},
+                      ConvGeomCase{1, 16, 16, 3, 1, 0}));
 
 // ---------------------------------------------------------------- loss ---
 

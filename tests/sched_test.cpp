@@ -466,6 +466,30 @@ TEST(IoAware, StarvationGuardReleasesHead) {
   EXPECT_LE(result.schedule[0].start_time, 61.0);
 }
 
+TEST(IoAware, DrainOutlivesExpiredHoldOfNodeBoundHead) {
+  // The head (id 2) is held on IO at t=1 with nodes free. At t=5 the IO
+  // job ends and two backfills, each within the head's spare nodes, start
+  // together and leave it 4 of its 5 nodes. Its hold expires at t=11 with
+  // nothing to start; the run must still drain to the next completion,
+  // not spin on the expired hold.
+  sc::IoAwareSimulator sim({13, 1.0, true, /*max_io_hold=*/10.0});
+  const auto result = sim.run({io_job(0, 0.0, 5, 1000.0, 0.0),
+                               io_job(1, 0.0, 1, 5.0, 1.0),
+                               io_job(2, 1.0, 5, 50.0, 1.5),
+                               io_job(3, 1.0, 2, 1000.0, 0.5),
+                               io_job(4, 1.0, 2, 1000.0, 0.5)});
+  ASSERT_EQ(result.schedule.size(), 5u);
+  for (const auto& s : result.schedule) {
+    if (s.id == 3 || s.id == 4) {
+      EXPECT_DOUBLE_EQ(s.start_time, 5.0);
+    } else if (s.id == 2) {
+      // Job 0's completion frees the nodes; the expired hold admits the
+      // head despite its IO.
+      EXPECT_DOUBLE_EQ(s.start_time, 1000.0);
+    }
+  }
+}
+
 TEST(IoAware, ReducesOversubscriptionVsObliviousPolicy) {
   // Property at workload scale: with accurate predictions, the IO-aware
   // policy produces no more over-cap minutes than the oblivious one.

@@ -1,6 +1,7 @@
 // Unit tests for the tensor substrate: storage, GEMM against a naive
-// reference, element-wise ops, and the im2col/col2im lowering (including
-// the adjoint property that backs convolution backprop).
+// reference, element-wise ops, convolution geometry, and the 1-D
+// im2col/col2im lowering (including the adjoint property that backs
+// Conv1d backprop).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -246,111 +247,6 @@ TEST(Ops, ClipInPlace) {
 }
 
 // -------------------------------------------------------------- im2col ---
-
-TEST(Im2col, IdentityKernelNoPad) {
-  // 1x1 kernel: cols should equal the image.
-  t::Conv2dGeom g;
-  g.channels = 1;
-  g.height = g.width = 3;
-  g.kernel_h = g.kernel_w = 1;
-  const std::vector<float> image = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::vector<float> cols(g.patch_rows() * g.patch_cols());
-  t::im2col(g, image.data(), cols.data());
-  EXPECT_EQ(cols, image);
-}
-
-TEST(Im2col, KnownSmallCase) {
-  // 2x2 image, 2x2 kernel, stride 1, no pad: one output pixel capturing
-  // the whole image.
-  t::Conv2dGeom g;
-  g.channels = 1;
-  g.height = g.width = 2;
-  g.kernel_h = g.kernel_w = 2;
-  const std::vector<float> image = {1, 2, 3, 4};
-  std::vector<float> cols(4);
-  t::im2col(g, image.data(), cols.data());
-  EXPECT_EQ(cols, image);
-  EXPECT_EQ(g.out_h(), 1u);
-}
-
-TEST(Im2col, PaddingYieldsZeros) {
-  t::Conv2dGeom g;
-  g.channels = 1;
-  g.height = g.width = 1;
-  g.kernel_h = g.kernel_w = 3;
-  g.pad_h = g.pad_w = 1;
-  const std::vector<float> image = {7};
-  std::vector<float> cols(9);
-  t::im2col(g, image.data(), cols.data());
-  // Centre tap sees the pixel; every other tap is padding.
-  float total = 0.0f;
-  for (const float v : cols) total += v;
-  EXPECT_FLOAT_EQ(total, 7.0f);
-  EXPECT_FLOAT_EQ(cols[4], 7.0f);
-}
-
-struct ConvGeomCase {
-  std::size_t channels, height, width, kernel, stride, pad;
-};
-
-class Im2colAdjoint : public ::testing::TestWithParam<ConvGeomCase> {};
-
-// <im2col(x), y> == <x, col2im(y)> — the defining property of the adjoint,
-// which is exactly what convolution backprop relies on.
-TEST_P(Im2colAdjoint, DotProductIdentity) {
-  const auto p = GetParam();
-  t::Conv2dGeom g;
-  g.channels = p.channels;
-  g.height = p.height;
-  g.width = p.width;
-  g.kernel_h = g.kernel_w = p.kernel;
-  g.stride_h = g.stride_w = p.stride;
-  g.pad_h = g.pad_w = p.pad;
-
-  const std::size_t image_size = p.channels * p.height * p.width;
-  const std::size_t cols_size = g.patch_rows() * g.patch_cols();
-  const auto x = random_vec(image_size, 11);
-  const auto y = random_vec(cols_size, 12);
-
-  std::vector<float> ix(cols_size);
-  t::im2col(g, x.data(), ix.data());
-  std::vector<float> cy(image_size, 0.0f);
-  t::col2im(g, y.data(), cy.data());
-
-  double lhs = 0.0, rhs = 0.0;
-  for (std::size_t i = 0; i < cols_size; ++i)
-    lhs += static_cast<double>(ix[i]) * y[i];
-  for (std::size_t i = 0; i < image_size; ++i)
-    rhs += static_cast<double>(x[i]) * cy[i];
-  EXPECT_NEAR(lhs, rhs, 1e-3);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, Im2colAdjoint,
-    ::testing::Values(ConvGeomCase{1, 4, 4, 3, 1, 1},
-                      ConvGeomCase{3, 8, 8, 3, 1, 1},
-                      ConvGeomCase{2, 6, 5, 3, 2, 0},
-                      ConvGeomCase{4, 7, 7, 5, 1, 2},
-                      ConvGeomCase{1, 16, 16, 3, 1, 0}));
-
-TEST(Im2col, StridedMatchesContiguous) {
-  t::Conv2dGeom g;
-  g.channels = 2;
-  g.height = g.width = 5;
-  g.kernel_h = g.kernel_w = 3;
-  g.pad_h = g.pad_w = 1;
-  const auto image = random_vec(2 * 5 * 5, 13);
-  const std::size_t pc = g.patch_cols(), pr = g.patch_rows();
-  std::vector<float> plain(pr * pc);
-  t::im2col(g, image.data(), plain.data());
-  // Strided with a wider leading dimension and an offset.
-  const std::size_t ld = pc * 3;
-  std::vector<float> wide(pr * ld, -1.0f);
-  t::im2col_strided(g, image.data(), wide.data() + pc, ld);
-  for (std::size_t r = 0; r < pr; ++r)
-    for (std::size_t c = 0; c < pc; ++c)
-      ASSERT_EQ(plain[r * pc + c], wide[r * ld + pc + c]);
-}
 
 TEST(Im2col1d, AdjointIdentity) {
   t::Conv1dGeom g;

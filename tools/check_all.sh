@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Full correctness gate: format check, clang-tidy, and the ctest suite
-# under a plain Release build and under each sanitizer.
+# Full correctness gate: format check, clang-tidy, the ctest suite under a
+# plain Release build and under each sanitizer, and the benchmark's own
+# tests.
 #
 #   tools/check_all.sh                 # run every stage
 #   tools/check_all.sh format tidy     # just the static stages
 #   tools/check_all.sh address thread  # just those sanitizer suites
+#   tools/check_all.sh bench           # just the benchmark's tests
 #
 # Stages: format, tidy, release, obs-off, address, undefined, thread,
-# tsa, serve, fuzz-smoke.
+# tsa, serve, fuzz-smoke, bench.
 # Stages whose tooling is unavailable (no clang-format / clang-tidy /
 # clang++ on PATH) are reported as SKIPPED and do not fail the gate;
 # sanitizer and test stages always run and must pass.
@@ -25,7 +27,7 @@ serve_tests+='|PredictionService|OnlineResult|BatchedPrediction'
 stages=("$@")
 if [ ${#stages[@]} -eq 0 ]; then
   stages=(format tidy release obs-off address undefined thread tsa serve
-          fuzz-smoke)
+          fuzz-smoke bench)
 fi
 
 declare -a results=()
@@ -162,10 +164,19 @@ for stage in "${stages[@]}"; do
         record "SKIP  fuzz-smoke (clang++ not on PATH)"
       fi
       ;;
+    bench)
+      # The benchmark's own tests (perfbench/test.py): metric and
+      # BENCHMARK.json consistency, plus a tiny run of every workload,
+      # untraced and traced, whose reference-arithmetic check compares
+      # the library's GEMM and layer kernels against plain loops.
+      note "bench: python3 perfbench/test.py"
+      python3 perfbench/test.py
+      record "PASS  bench"
+      ;;
     *)
       echo "unknown stage: $stage" >&2
       echo "stages: format tidy release obs-off address undefined thread" \
-           "tsa serve fuzz-smoke" >&2
+           "tsa serve fuzz-smoke bench" >&2
       exit 2
       ;;
   esac
