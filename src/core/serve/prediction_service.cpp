@@ -12,6 +12,7 @@
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace prionn::core::serve {
@@ -351,6 +352,10 @@ void PredictionService::fulfill(Request& request,
 }
 
 void PredictionService::trainer_loop() {
+  // Training must never take a CPU the batcher or a submitter wants: this
+  // thread and every loop it issues (forest fit, script mapping, GEMM) run
+  // at idle CPU priority on the background pool.
+  util::ThreadPool::enter_background();
   for (;;) {
     {
       util::ScopedLock wl(window_mutex_);
@@ -480,9 +485,15 @@ bool PredictionService::run_retrain(bool claimed) {
   bool benched = false;
   if (accepted) {
     // Refit the fallback baseline on the same window the NN trained on.
+    // The fit runs off the lock, which the batcher and the shed path take
+    // for every fallback answer; a fresh predictor fits exactly what an
+    // in-place refit would (fit_baseline starts from a fresh encoder).
+    // Only the swap runs under the lock; the old baseline is freed after.
+    FallbackPredictor refit(options_.fallback);
+    refit.fit_baseline(recent);
     {
       util::ScopedLock fl(fallback_mutex_);
-      fallback_.fit_baseline(recent);
+      std::swap(fallback_, refit);
     }
     // Publish: a pointer swap under the model lock. Readers observe
     // either the old model or the new one, never a half-trained mix, and

@@ -20,6 +20,9 @@
 //     pointer swap. A retrain that diverges or fails the holdback-
 //     accuracy guard is discarded — the live model IS the last-good
 //     snapshot, so rollback is free (semantics from core/resilient_online).
+//     The trainer thread runs at idle CPU priority and issues its loops on
+//     util::ThreadPool::background(), so a retrain only uses cores that
+//     serving leaves idle.
 //   - Encoding cache: the script->image mapping is memoised per script
 //     (serve/encoding_cache.hpp); repeat submissions skip the data-
 //     mapping stage. Model swaps invalidate nothing; only an embedding
@@ -144,8 +147,9 @@ class PredictionService {
   /// retrain is in flight.
   void flush();
 
-  /// Run one training event synchronously on the calling thread (only
-  /// valid with background_retrain == false). Returns true when the new
+  /// Run one training event synchronously on the calling thread, at its
+  /// own CPU priority and on its own pool (only valid with
+  /// background_retrain == false). Returns true when the new
   /// model was accepted and swapped in, false when the window was empty
   /// or the guards rejected it.
   bool retrain_now();
@@ -216,7 +220,7 @@ class PredictionService {
   bool trainer_busy_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool trainer_stop_ PRIONN_GUARDED_BY(window_mutex_) = false;
 
-  // --- fallback chain: batcher + shed path + trainer refit --------------
+  // --- fallback chain: batcher + shed path + trainer swap ---------------
   mutable util::Mutex fallback_mutex_;
   FallbackPredictor fallback_ PRIONN_GUARDED_BY(fallback_mutex_);
 

@@ -91,7 +91,7 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, float alpha,
           const float* a, const float* b, float beta, float* c) {
   // Parallelise over row blocks only when the work amortises the fork cost.
   const std::size_t flops = 2 * m * k * n;
-  auto& pool = util::ThreadPool::global();
+  auto& pool = util::ThreadPool::current();
   if (flops < (1u << 22) || pool.size() <= 1 || m < 2 * pool.size()) {
     gemm_rows(0, m, k, n, alpha, a, b, beta, c);
     return;

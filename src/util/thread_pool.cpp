@@ -2,16 +2,32 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "util/check.hpp"
 
 namespace prionn::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+namespace {
+
+thread_local bool t_background = false;
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads) : ThreadPool(threads, false) {}
+
+ThreadPool::ThreadPool(std::size_t threads, bool background) {
   std::size_t n = threads ? threads : std::thread::hardware_concurrency();
   if (n == 0) n = 1;
   workers_.reserve(n - 1);
   for (std::size_t i = 1; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, i, background] {
+      if (background) enter_background();
+      worker_loop(i);
+    });
   }
 }
 
@@ -116,9 +132,28 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+ThreadPool& ThreadPool::background() {
+  static ThreadPool pool(0, /*background=*/true);
+  return pool;
+}
+
+ThreadPool& ThreadPool::current() {
+  return t_background ? background() : global();
+}
+
+void ThreadPool::enter_background() {
+  t_background = true;
+#if defined(__linux__)
+  // Best effort: lowering one's own policy needs no privilege, and a
+  // failure only leaves the thread at normal priority.
+  const sched_param param{};
+  static_cast<void>(pthread_setschedparam(pthread_self(), SCHED_IDLE, &param));
+#endif
+}
+
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn) {
-  ThreadPool::global().parallel_for(begin, end, fn);
+  ThreadPool::current().parallel_for(begin, end, fn);
 }
 
 }  // namespace prionn::util

@@ -3,6 +3,12 @@
 // OpenMP "parallel for" model: a static partition of the index range over a
 // fixed set of workers, which is the right shape for the regular,
 // equal-cost iterations that dominate this library.
+//
+// Two process-wide pools exist: global() for the foreground, and
+// background() for work that must yield the CPU to it, such as
+// PredictionService's background retrain. Loops issued through current()
+// (util::parallel_for, tensor::gemm) land on background() from a thread
+// that called enter_background(), and on global() from any other.
 #pragma once
 
 #include <cstddef>
@@ -31,11 +37,13 @@ class ThreadPool {
   /// thread). Blocks until every iteration has completed. `fn` receives
   /// (index). Exceptions thrown by fn propagate to the caller (first one).
   /// Safe to call from multiple threads at once: concurrent loops are
-  /// serialised on a submission lock (the pool has one task slot), so a
-  /// serving thread and a background retrain can share the global pool —
-  /// they interleave at per-loop granularity rather than corrupting the
-  /// task state. Do not nest parallel_for inside a worker body: the
-  /// submission lock is not reentrant.
+  /// serialised on a submission lock (the pool has one task slot), so
+  /// concurrent callers interleave at per-loop granularity rather than
+  /// corrupting the task state. That also makes them wait for each
+  /// other's loops, which is why a background retrain issues its loops
+  /// on background() rather than on the pool serving uses. Do not nest
+  /// parallel_for inside a worker body: the submission lock is not
+  /// reentrant.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
@@ -48,7 +56,26 @@ class ThreadPool {
   /// Process-wide pool sized to the machine; lazily constructed.
   static ThreadPool& global();
 
+  /// Process-wide pool sized to the machine whose workers run at idle CPU
+  /// priority (see enter_background()); lazily constructed.
+  static ThreadPool& background();
+
+  /// The pool for loops issued by the calling thread: background() after
+  /// it called enter_background() (and on background()'s own workers),
+  /// global() everywhere else.
+  static ThreadPool& current();
+
+  /// Make the calling thread a background thread for the rest of its
+  /// life: it drops to idle CPU priority (SCHED_IDLE on Linux: a woken
+  /// normal-priority thread preempts it at once, and on a contended core
+  /// it gets only a token share; a no-op elsewhere) and current() returns
+  /// background() on it. One-way: an unprivileged thread may not raise
+  /// its priority back.
+  static void enter_background();
+
  private:
+  ThreadPool(std::size_t threads, bool background);
+
   struct Task {
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
     std::size_t begin = 0;
@@ -78,7 +105,7 @@ class ThreadPool {
   std::exception_ptr first_error_ PRIONN_GUARDED_BY(mutex_);
 };
 
-/// Convenience wrapper over the global pool.
+/// Convenience wrapper over ThreadPool::current().
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

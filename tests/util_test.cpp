@@ -8,7 +8,12 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -243,6 +248,59 @@ TEST(ThreadPool, GlobalPoolWorks) {
   std::atomic<int> n{0};
   u::parallel_for(0, 100, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 100);
+}
+
+TEST(ThreadPool, BackgroundThreadLoopsRunOnBackgroundPool) {
+  // Each index records the pool current() names on the thread that ran it
+  // and that thread's scheduling policy: the caller's chunk and the
+  // background workers' chunks report background(), a global() worker
+  // would report global().
+  struct Seen {
+    const u::ThreadPool* pool = nullptr;
+    int policy = -1;
+  };
+  const auto loop = [] {
+    std::vector<Seen> seen(64);
+    u::parallel_for(0, seen.size(), [&](std::size_t i) {
+      seen[i].pool = &u::ThreadPool::current();
+#if defined(__linux__)
+      seen[i].policy = sched_getscheduler(0);
+#endif
+    });
+    return seen;
+  };
+  ASSERT_NE(&u::ThreadPool::background(), &u::ThreadPool::global());
+
+  // A fresh thread, so this test's own thread keeps its priority.
+  const u::ThreadPool* trainer_current = nullptr;
+  std::vector<Seen> trainer_seen;
+  std::thread trainer([&] {
+    u::ThreadPool::enter_background();
+    trainer_current = &u::ThreadPool::current();
+    trainer_seen = loop();
+  });
+  trainer.join();
+  EXPECT_EQ(trainer_current, &u::ThreadPool::background());
+  for (const Seen& s : trainer_seen) {
+    EXPECT_EQ(s.pool, &u::ThreadPool::background());
+#if defined(__linux__)
+    EXPECT_EQ(s.policy, SCHED_IDLE);
+#endif
+  }
+
+  // Every other thread still gets global(): this one, global()'s workers
+  // and a fresh thread.
+  EXPECT_EQ(&u::ThreadPool::current(), &u::ThreadPool::global());
+  for (const Seen& s : loop()) {
+    EXPECT_EQ(s.pool, &u::ThreadPool::global());
+#if defined(__linux__)
+    EXPECT_NE(s.policy, SCHED_IDLE);
+#endif
+  }
+  const u::ThreadPool* other_current = nullptr;
+  std::thread other([&] { other_current = &u::ThreadPool::current(); });
+  other.join();
+  EXPECT_EQ(other_current, &u::ThreadPool::global());
 }
 
 // --------------------------------------------------------------- Stats ---
