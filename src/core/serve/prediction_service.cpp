@@ -35,6 +35,9 @@ PredictionService::PredictionService(ServiceOptions options)
   {
     util::ScopedLock ml(model_mutex_);
     live_ = std::make_unique<PrionnPredictor>(options_.predictor);
+    std::ostringstream snap(std::ios::binary);
+    live_->save(snap);
+    live_snapshot_ = std::move(snap).str();
   }
   {
     util::ScopedLock wl(window_mutex_);
@@ -127,9 +130,15 @@ ProvenancedPrediction PredictionService::predict_now(
 void PredictionService::complete(const trace::JobRecord& job) {
   const std::size_t bound = std::max(options_.protocol.train_window,
                                      options_.protocol.embedding_corpus);
+  // Copy the record in, and free the one it evicts, outside the lock.
+  auto record = std::make_shared<const trace::JobRecord>(job);
+  std::shared_ptr<const trace::JobRecord> evicted;
   util::ScopedLock wl(window_mutex_);
-  window_.push_back(job);
-  while (window_.size() > bound) window_.pop_front();
+  window_.push_back(std::move(record));
+  while (window_.size() > bound) {
+    evicted = std::move(window_.front());
+    window_.pop_front();
+  }
   ++total_completions_;
   PRIONN_OBS_GAUGE_SET("prionn_serve_window_size",
                        "completions retained for retraining",
@@ -260,9 +269,11 @@ void PredictionService::serve_batch(std::vector<Request>& batch) {
 
   // One forward pass for the whole batch, under the model lock: forward()
   // mutates layer activation caches, and the mapper must not be swapped
-  // out from under us mid-batch. Training never runs under this lock —
-  // only the trainer's snapshot encode and pointer swap do, so the wait
-  // here is bounded by milliseconds, not a training event.
+  // out from under us mid-batch. The trainer takes this lock only for
+  // its pointer swap, so the wait here is a swap, not a training event
+  // or a snapshot encode — which matters because the trainer runs at
+  // idle CPU priority and may be held off a busy core while it holds a
+  // lock.
   std::vector<ConfidentPrediction> nn_out;
   bool use_nn = false;
   if (!nn_benched_.load(std::memory_order_relaxed)) {
@@ -376,9 +387,11 @@ bool PredictionService::run_retrain(bool claimed) {
   util::Timer retrain_timer;
 
   // Claim the trainer slot and snapshot the training window. Submissions
-  // arriving while we train count toward the *next* interval.
-  std::vector<trace::JobRecord> recent;
-  std::vector<std::string> corpus;
+  // arriving while we train count toward the *next* interval. Only
+  // pointers to the newest records are copied under the lock.
+  std::vector<std::shared_ptr<const trace::JobRecord>> held;
+  std::size_t window = 0;
+  std::size_t corpus_size = 0;
   bool fit_embedding = false;
   std::uint64_t attempt = 0;
   {
@@ -395,38 +408,41 @@ bool PredictionService::run_retrain(bool claimed) {
     submissions_since_train_ = 0;
     attempt = static_cast<std::uint64_t>(training_events_ +
                                          rejected_retrains_);
-    const std::size_t window =
-        std::min(options_.protocol.train_window, window_.size());
-    recent.assign(window_.end() - static_cast<std::ptrdiff_t>(window),
-                  window_.end());
+    window = std::min(options_.protocol.train_window, window_.size());
     if (!embedding_ready_) {
       fit_embedding = true;
-      const std::size_t corpus_size =
+      corpus_size =
           std::min(options_.protocol.embedding_corpus, window_.size());
-      corpus.reserve(corpus_size);
-      for (auto it = window_.end() - static_cast<std::ptrdiff_t>(corpus_size);
-           it != window_.end(); ++it)
-        corpus.push_back(it->script);
     }
+    held.assign(window_.end() - static_cast<std::ptrdiff_t>(
+                                    std::max(window, corpus_size)),
+                window_.end());
   }
   retrain_active_.store(true, std::memory_order_relaxed);
 
-  // Snapshot the live model under a brief lock; decode the shadow copy
-  // outside it. save/load is bit-exact (weights, Adam moments, dropout
-  // RNG), so training the shadow follows the exact trajectory training
-  // the live model in place would have.
-  std::string snapshot;
+  std::vector<trace::JobRecord> recent;
+  recent.reserve(window);
+  for (auto it = held.end() - static_cast<std::ptrdiff_t>(window);
+       it != held.end(); ++it)
+    recent.push_back(**it);
+  std::vector<std::string> corpus;
+  corpus.reserve(corpus_size);
+  for (auto it = held.end() - static_cast<std::ptrdiff_t>(corpus_size);
+       it != held.end(); ++it)
+    corpus.push_back((*it)->script);
+  held.clear();
+
+  // Decode the shadow from the serialised live model; no lock is taken.
+  // save/load is bit-exact (weights, Adam moments, dropout RNG), so
+  // training the shadow follows the exact trajectory training the live
+  // model in place would have.
+  std::unique_ptr<PrionnPredictor> shadow;
   {
     PRIONN_OBS_SPAN("serve.snapshot");
-    util::ScopedLock ml(model_mutex_);
-    std::ostringstream snap(std::ios::binary);
-    live_->save(snap);
-    snapshot = std::move(snap).str();
+    std::istringstream snap_in(live_snapshot_, std::ios::binary);
+    shadow = std::make_unique<PrionnPredictor>(
+        PrionnPredictor::load(snap_in));
   }
-  std::istringstream snap_in(snapshot, std::ios::binary);
-  auto shadow = std::make_unique<PrionnPredictor>(
-      PrionnPredictor::load(snap_in));
-  snapshot.clear();
 
   // Guards, as in ResilientOnlineTrainer: hold back a validation batch
   // when the accuracy floor is on.
@@ -495,16 +511,26 @@ bool PredictionService::run_retrain(bool claimed) {
       util::ScopedLock fl(fallback_mutex_);
       std::swap(fallback_, refit);
     }
-    // Publish: a pointer swap under the model lock. Readers observe
-    // either the old model or the new one, never a half-trained mix, and
-    // block for at most the swap itself.
+    // Publish: serialise the new model for the next retrain, then swap
+    // pointers under the model lock. Readers observe either the old model
+    // or the new one, never a half-trained mix, and block for at most the
+    // swap itself; the old model is freed after the lock.
+    std::string published;
+    {
+      PRIONN_OBS_SPAN("serve.snapshot");
+      std::ostringstream snap(std::ios::binary);
+      shadow->save(snap);
+      published = std::move(snap).str();
+    }
     std::uint64_t swap_ns = 0;
     {
       const std::uint64_t t0 = util::Timer::now_ns();
       util::ScopedLock ml(model_mutex_);
-      live_ = std::move(shadow);
+      std::swap(live_, shadow);
       swap_ns = util::Timer::now_ns() - t0;
     }
+    shadow.reset();
+    live_snapshot_ = std::move(published);
     swaps_.fetch_add(1, std::memory_order_relaxed);
     PRIONN_OBS_OBSERVE_NS("prionn_serve_swap_latency_ns",
                           "model publish: pointer swap incl. lock wait",

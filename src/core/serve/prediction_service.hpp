@@ -14,15 +14,18 @@
 //     batches of at most `max_batch`, waiting at most `max_delay_us`
 //     for peers, then served by ONE forward pass per head (the batch
 //     path is per-sample identical to single-item predicts).
-//   - Double-buffered model: the retrain thread snapshots the live
-//     predictor (milliseconds), trains a shadow copy on the completion
-//     window (seconds) with no lock held, and publishes it with a
-//     pointer swap. A retrain that diverges or fails the holdback-
-//     accuracy guard is discarded — the live model IS the last-good
-//     snapshot, so rollback is free (semantics from core/resilient_online).
+//   - Double-buffered model: the retrain thread decodes a shadow copy
+//     from its serialised copy of the live predictor, trains it on the
+//     completion window (seconds) with no lock held, serialises it, and
+//     publishes it with a pointer swap. A retrain that diverges or fails
+//     the holdback-accuracy guard is discarded — the live model IS the
+//     last-good snapshot, so rollback is free (semantics from
+//     core/resilient_online).
 //     The trainer thread runs at idle CPU priority and issues its loops on
 //     util::ThreadPool::background(), so a retrain only uses cores that
-//     serving leaves idle.
+//     serving leaves idle. Because a thread at idle priority can be held
+//     off a busy core for long, it holds a lock that serving takes only
+//     for a pointer move or swap (see the member comments below).
 //   - Encoding cache: the script->image mapping is memoised per script
 //     (serve/encoding_cache.hpp); repeat submissions skip the data-
 //     mapping stage. Model swaps invalidate nothing; only an embedding
@@ -43,6 +46,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -200,16 +204,26 @@ class PredictionService {
   bool stopping_ PRIONN_GUARDED_BY(queue_mutex_) = false;
 
   // --- live model: batcher <-> trainer ----------------------------------
-  // Held during a batch forward pass, a snapshot encode, and the pointer
-  // swap — never during training itself, which runs on the shadow copy.
+  // Held during a batch forward pass and the trainer's pointer swap —
+  // never during training, snapshot encode or decode, or freeing the old
+  // model.
   mutable util::Mutex model_mutex_;
   std::unique_ptr<PrionnPredictor> live_ PRIONN_GUARDED_BY(model_mutex_);
+  // save() bytes of *live_, the shadow's source at each retrain. Written
+  // by the constructor and then only by the holder of the trainer slot
+  // (trainer_busy_) when it publishes a new live_; serving never changes
+  // what save() writes, so the bytes stay equal to *live_ without
+  // model_mutex_.
+  std::string live_snapshot_;
 
   // --- completion window & protocol cadence -----------------------------
   mutable util::Mutex window_mutex_;
   util::CondVar trainer_cv_;       // trainer waits for a due cadence
   util::CondVar trainer_done_cv_;  // flush() waits for trainer idle
-  std::deque<trace::JobRecord> window_ PRIONN_GUARDED_BY(window_mutex_);
+  // Shared, immutable records: the trainer copies pointers under the
+  // lock and the records themselves after it.
+  std::deque<std::shared_ptr<const trace::JobRecord>> window_
+      PRIONN_GUARDED_BY(window_mutex_);
   std::size_t total_completions_ PRIONN_GUARDED_BY(window_mutex_) = 0;
   std::size_t submissions_since_train_ PRIONN_GUARDED_BY(window_mutex_) = 0;
   std::size_t training_events_ PRIONN_GUARDED_BY(window_mutex_) = 0;

@@ -214,6 +214,25 @@ TEST(PredictorSnapshot, ResumedTrainingMatchesUninterrupted) {
   EXPECT_EQ(predictor_bytes(q), uninterrupted);
 }
 
+TEST(PredictorSnapshot, PredictionLeavesSavedStateUnchanged) {
+  // PredictionService serialises a model once, when it publishes it, and
+  // trains the next shadow from those bytes while the live copy serves:
+  // inference must not move anything save() writes (dropout RNG
+  // included).
+  const auto jobs = tiny_jobs(48);
+  core::PredictorOptions options = tiny_predictor_options();
+  options.dropout = 0.25;
+  core::PrionnPredictor p(options);
+  p.train(jobs);
+  const std::string published = predictor_bytes(p);
+
+  std::vector<std::string> scripts;
+  for (const auto& job : jobs) scripts.push_back(job.script);
+  static_cast<void>(p.predict_batch(scripts));
+  static_cast<void>(p.predict_with_confidence(scripts.front()));
+  EXPECT_EQ(predictor_bytes(p), published);
+}
+
 TEST(PredictorSnapshot, RejectsDamagedStreams) {
   core::PrionnPredictor p(tiny_predictor_options());
   const std::string bytes = predictor_bytes(p);
