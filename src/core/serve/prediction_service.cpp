@@ -267,13 +267,14 @@ void PredictionService::serve_batch(std::vector<Request>& batch) {
   PRIONN_OBS_GAUGE_SET("prionn_serve_batch_size",
                        "size of the last served micro-batch", batch.size());
 
-  // One forward pass for the whole batch, under the model lock: forward()
-  // mutates layer activation caches, and the mapper must not be swapped
-  // out from under us mid-batch. The trainer takes this lock only for
-  // its pointer swap, so the wait here is a swap, not a training event
-  // or a snapshot encode — which matters because the trainer runs at
-  // idle CPU priority and may be held off a busy core while it holds a
-  // lock.
+  // One forward pass for the whole batch, under the model lock: the
+  // inference forward keeps no backward state, but it still writes the
+  // layers (it drops any state a training forward kept), and the mapper
+  // must not be swapped out from under us mid-batch. The trainer takes
+  // this lock only for its pointer swap, so the wait here is a swap, not
+  // a training event or a snapshot encode — which matters because the
+  // trainer runs at idle CPU priority and may be held off a busy core
+  // while it holds a lock.
   std::vector<ConfidentPrediction> nn_out;
   bool use_nn = false;
   if (!nn_benched_.load(std::memory_order_relaxed)) {

@@ -4,10 +4,12 @@
 #include <istream>
 #include <ostream>
 
+#include "util/check.hpp"
+
 namespace prionn::nn {
 
-Tensor Relu::forward(const Tensor& input, bool /*training*/) {
-  input_ = input;
+Tensor Relu::forward(const Tensor& input, bool training) {
+  keep_for_backward(input_, input, training);
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i)
     if (out[i] < 0.0f) out[i] = 0.0f;
@@ -15,6 +17,9 @@ Tensor Relu::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Relu::backward(const Tensor& grad_output) {
+  PRIONN_CHECK(grad_output.same_shape(input_))
+      << "Relu::backward: needs the input of a training forward of shape "
+      << tensor::shape_to_string(grad_output.shape());
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i)
     if (input_[i] <= 0.0f) grad[i] = 0.0f;
@@ -26,14 +31,17 @@ std::unique_ptr<Layer> Relu::load(std::istream& /*is*/) {
   return std::make_unique<Relu>();
 }
 
-Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
+Tensor Tanh::forward(const Tensor& input, bool training) {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  output_ = out;
+  keep_for_backward(output_, out, training);
   return out;
 }
 
 Tensor Tanh::backward(const Tensor& grad_output) {
+  PRIONN_CHECK(grad_output.same_shape(output_))
+      << "Tanh::backward: needs the output of a training forward of shape "
+      << tensor::shape_to_string(grad_output.shape());
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i)
     grad[i] *= 1.0f - output_[i] * output_[i];
@@ -45,15 +53,19 @@ std::unique_ptr<Layer> Tanh::load(std::istream& /*is*/) {
   return std::make_unique<Tanh>();
 }
 
-Tensor Sigmoid::forward(const Tensor& input, bool /*training*/) {
+Tensor Sigmoid::forward(const Tensor& input, bool training) {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i)
     out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  output_ = out;
+  keep_for_backward(output_, out, training);
   return out;
 }
 
 Tensor Sigmoid::backward(const Tensor& grad_output) {
+  PRIONN_CHECK(grad_output.same_shape(output_))
+      << "Sigmoid::backward: needs the output of a training forward of "
+         "shape "
+      << tensor::shape_to_string(grad_output.shape());
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i)
     grad[i] *= output_[i] * (1.0f - output_[i]);

@@ -123,10 +123,9 @@ Tensor BatchNorm::forward(const Tensor& input, bool training) {
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_output) {
-  if (!trained_forward_)
-    throw std::logic_error("BatchNorm::backward: forward(training) first");
-  PRIONN_CHECK(grad_output.same_shape(normalized_))
-      << "BatchNorm::backward: gradient shape "
+  PRIONN_CHECK(trained_forward_ && grad_output.same_shape(normalized_))
+      << "BatchNorm::backward: needs the state of a training forward; "
+         "gradient shape "
       << tensor::shape_to_string(grad_output.shape())
       << " does not match cached forward shape "
       << tensor::shape_to_string(normalized_.shape());

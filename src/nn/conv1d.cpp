@@ -62,10 +62,10 @@ namespace {
 constexpr std::size_t kMaxColsFloats1d = 16u << 20;  // 64 MiB
 }  // namespace
 
-Tensor Conv1d::forward(const Tensor& input, bool /*training*/) {
+Tensor Conv1d::forward(const Tensor& input, bool training) {
   const std::size_t batch = input.dim(0);
   geom_ = geometry({input.dim(1), input.dim(2)});
-  input_ = input;
+  keep_for_backward(input_, input, training);
 
   const std::size_t pr = geom_.patch_rows();
   const std::size_t ol = geom_.out_len();
@@ -102,7 +102,8 @@ Tensor Conv1d::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Conv1d::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(!input_.empty()) << "Conv1d::backward: forward() first";
+  PRIONN_CHECK(!input_.empty())
+      << "Conv1d::backward: needs the input of a training forward";
   PRIONN_CHECK(grad_output.rank() == 3 &&
                grad_output.dim(0) == input_.dim(0) &&
                grad_output.dim(1) == out_channels() &&

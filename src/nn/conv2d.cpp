@@ -257,10 +257,10 @@ Shape Conv2d::output_shape(const Shape& input) const {
   return {out_channels(), g.out_h(), g.out_w()};
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
+Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::size_t batch = input.dim(0);
   geom_ = geometry({input.dim(1), input.dim(2), input.dim(3)});
-  input_ = input;
+  keep_for_backward(input_, input, training);
 
   const FlatGeom f(geom_);
   const std::size_t oc = out_channels();
@@ -293,7 +293,8 @@ Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(!input_.empty()) << "Conv2d::backward: forward() first";
+  PRIONN_CHECK(!input_.empty())
+      << "Conv2d::backward: needs the input of a training forward";
   PRIONN_CHECK(grad_output.rank() == 4 &&
                grad_output.dim(0) == input_.dim(0) &&
                grad_output.dim(1) == out_channels() &&

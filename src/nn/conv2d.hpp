@@ -46,8 +46,8 @@ class Conv2d : public Layer {
   std::size_t stride_ = 1;
   std::size_t pad_ = 0;
 
-  Tensor input_;               // cached batch
-  tensor::Conv2dGeom geom_{};  // geometry of the cached batch
+  Tensor input_;               // batch of the last training forward
+  tensor::Conv2dGeom geom_{};  // geometry of the last forward
 };
 
 }  // namespace prionn::nn

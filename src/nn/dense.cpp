@@ -37,12 +37,12 @@ Shape Dense::output_shape(const Shape& input) const {
   return {out_features()};
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+Tensor Dense::forward(const Tensor& input, bool training) {
   const std::size_t batch = input.dim(0);
   if (input.rank() != 2 || input.dim(1) != in_features())
     throw std::invalid_argument("Dense::forward: bad input shape " +
                                 tensor::shape_to_string(input.shape()));
-  input_ = input;
+  keep_for_backward(input_, input, training);
   Tensor out({batch, out_features()});
   // out = input (N x in) * W^T (in x out)
   tensor::gemm_bt(batch, in_features(), out_features(), 1.0f, input.data(),
@@ -60,8 +60,9 @@ Tensor Dense::backward(const Tensor& grad_output) {
       << tensor::shape_to_string(grad_output.shape()) << " does not match "
       << out_features() << " output features";
   PRIONN_CHECK(!input_.empty() && grad_output.dim(0) == input_.dim(0))
-      << "Dense::backward: gradient batch " << grad_output.dim(0)
-      << " does not match cached forward batch "
+      << "Dense::backward: needs the input of a training forward of the "
+         "same batch; gradient batch "
+      << grad_output.dim(0) << ", cached batch "
       << (input_.empty() ? 0 : input_.dim(0));
   const std::size_t batch = grad_output.dim(0);
   // dW += dY^T (out x N) * X (N x in)

@@ -34,7 +34,7 @@ class Dense : public Layer {
   Tensor bias_;         // (out)
   Tensor grad_weight_;  // (out x in)
   Tensor grad_bias_;    // (out)
-  Tensor input_;        // cached batch for backward
+  Tensor input_;        // batch of the last training forward, for backward
 };
 
 }  // namespace prionn::nn

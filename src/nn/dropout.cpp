@@ -4,6 +4,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "util/check.hpp"
+
 namespace prionn::nn {
 
 Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
@@ -16,6 +18,7 @@ Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
   trained_forward_ = training;
+  if (!training) mask_ = Tensor();
   if (!training || rate_ == 0.0) return input;
   mask_ = Tensor(input.shape());
   const auto scale = static_cast<float>(1.0 / (1.0 - rate_));
@@ -29,7 +32,11 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!trained_forward_ || rate_ == 0.0) return grad_output;
+  PRIONN_CHECK(trained_forward_ &&
+               (rate_ == 0.0 || grad_output.same_shape(mask_)))
+      << "Dropout::backward: needs the mask of a training forward of shape "
+      << tensor::shape_to_string(grad_output.shape());
+  if (rate_ == 0.0) return grad_output;
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i) grad[i] *= mask_[i];
   return grad;

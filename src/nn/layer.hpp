@@ -1,8 +1,20 @@
 // Layer interface of the mini deep-learning framework that stands in for
 // the paper's Python DL stack. Layers process whole mini-batches: the
-// leading tensor dimension is always the batch (N, ...). backward() must be
-// called after forward() on the same batch and accumulates parameter
-// gradients (callers zero them between optimiser steps).
+// leading tensor dimension is always the batch (N, ...). backward()
+// accumulates parameter gradients (callers zero them between optimiser
+// steps).
+//
+// Training and inference forwards differ in what they keep:
+//   - forward(x, /*training=*/true) keeps what backward() reads (the
+//     input, the output, the max-pool winners, the dropout mask);
+//   - forward(x, /*training=*/false) is the serving path: it keeps no
+//     backward state and drops whatever an earlier training forward kept.
+//     Except in Dropout and BatchNorm, which differ by design, its outputs
+//     are bitwise those of a training forward.
+// So backward() is valid only when the layer's last forward was a
+// training forward of the same batch; otherwise it fails a PRIONN_CHECK
+// (it never reads stale or missing state). It may be called more than
+// once after one training forward.
 #pragma once
 
 #include <iosfwd>
@@ -28,11 +40,13 @@ class Layer {
   /// dimension). Throws if the input shape is incompatible.
   virtual Shape output_shape(const Shape& input) const = 0;
 
-  /// Forward pass over a batch; `training` toggles dropout-style behaviour.
+  /// Forward pass over a batch; `training` toggles dropout-style behaviour
+  /// and whether backward state is kept (see the file comment).
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Backward pass: gradient w.r.t. this layer's input, given gradient
-  /// w.r.t. its output. Accumulates into parameter gradients.
+  /// w.r.t. its output. Accumulates into parameter gradients. Requires the
+  /// last forward() to have been a training forward of the same batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Trainable parameters and their gradient buffers (parallel vectors).
@@ -53,5 +67,16 @@ class Layer {
     return n;
   }
 };
+
+/// What a layer keeps for backward(): a copy of `value` after a training
+/// forward (copy-assigned, so the buffer is reused from step to step),
+/// nothing after an inference forward.
+inline void keep_for_backward(Tensor& kept, const Tensor& value,
+                              bool training) {
+  if (training)
+    kept = value;
+  else
+    kept = Tensor();
+}
 
 }  // namespace prionn::nn

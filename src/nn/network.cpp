@@ -50,17 +50,22 @@ void account_layer_ns(const char* direction, const std::string& kind,
 }  // namespace
 
 Tensor Network::forward(const Tensor& batch, bool training) {
-  if (obs::layer_timing_enabled()) {
-    Tensor x = batch;
-    for (const auto& l : layers_) {
+  if (layers_.empty()) return batch;
+  // The first layer reads the caller's batch in place; each later one
+  // reads its predecessor's output.
+  const bool timed = obs::layer_timing_enabled();
+  Tensor x;
+  const Tensor* in = &batch;
+  for (const auto& l : layers_) {
+    if (timed) {
       util::Timer timer;
-      x = l->forward(x, training);
+      x = l->forward(*in, training);
       account_layer_ns("forward", l->kind(), timer.elapsed_ns());
+    } else {
+      x = l->forward(*in, training);
     }
-    return x;
+    in = &x;
   }
-  Tensor x = batch;
-  for (const auto& l : layers_) x = l->forward(x, training);
   return x;
 }
 

@@ -65,7 +65,9 @@ class Network {
   /// Shape of one output sample for one input sample shape.
   Shape output_shape(Shape input) const;
 
-  /// Forward over a batch; training toggles dropout.
+  /// Forward over a batch. training = true draws dropout masks and keeps
+  /// what backward() reads; false is the inference path, which keeps
+  /// nothing (see Layer::forward).
   Tensor forward(const Tensor& batch, bool training = false);
 
   /// Backward from a loss gradient; returns gradient w.r.t. the input batch.

@@ -1,5 +1,6 @@
 #include "nn/pool.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -35,47 +36,71 @@ Shape MaxPool2d::output_shape(const Shape& input) const {
           (input[2] - window_) / stride_ + 1};
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
-  input_shape_ = input.shape();
+namespace {
+
+/// One output row of a pooled plane, vectorised across the output
+/// positions: every (ky, kx) tap is one pass over the row, so each output
+/// still scans its window in (ky, kx) order from -inf and keeps a value
+/// only when `v > best`. A NaN therefore never wins, and of -0.0 and +0.0
+/// the first one seen stays. With kArgmax, arg[ox] records the flat input
+/// index of the winner (0 when nothing beats -inf), for backward.
+template <bool kArgmax>
+void pool_row(const float* plane, std::size_t w, std::size_t iy0,
+              std::size_t window, std::size_t stride, std::size_t ow,
+              float* out, std::size_t* arg, std::size_t plane_base) {
+  std::fill_n(out, ow, -std::numeric_limits<float>::infinity());
+  if constexpr (kArgmax) std::fill_n(arg, ow, std::size_t{0});
+  for (std::size_t ky = 0; ky < window; ++ky) {
+    const std::size_t row = (iy0 + ky) * w;
+    for (std::size_t kx = 0; kx < window; ++kx) {
+      const float* src = plane + row + kx;
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const float v = src[ox * stride];
+        const float best = out[ox];
+        out[ox] = v > best ? v : best;
+        if constexpr (kArgmax)
+          arg[ox] = v > best ? plane_base + row + kx + ox * stride : arg[ox];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   const std::size_t batch = input.dim(0), c = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = (h - window_) / stride_ + 1;
   const std::size_t ow = (w - window_) / stride_ + 1;
   Tensor out({batch, c, oh, ow});
-  argmax_.assign(out.size(), 0);
-  std::size_t oi = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (n * c + ch) * h * w;
-      const std::size_t plane_base = (n * c + ch) * h * w;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t ky = 0; ky < window_; ++ky) {
-            const std::size_t iy = oy * stride_ + ky;
-            for (std::size_t kx = 0; kx < window_; ++kx) {
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + iy * w + ix;
-              }
-            }
-          }
-          out[oi] = best;
-          argmax_[oi] = best_idx;
-        }
-      }
+  if (training) {
+    input_shape_ = input.shape();
+    argmax_.resize(out.size());
+  } else {
+    input_shape_.clear();
+    argmax_.clear();
+  }
+  for (std::size_t plane = 0; plane < batch * c; ++plane) {
+    const float* src = input.data() + plane * h * w;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      const std::size_t oi = (plane * oh + oy) * ow;
+      if (training)
+        pool_row<true>(src, w, oy * stride_, window_, stride_, ow,
+                       out.data() + oi, argmax_.data() + oi, plane * h * w);
+      else
+        pool_row<false>(src, w, oy * stride_, window_, stride_, ow,
+                        out.data() + oi, nullptr, 0);
     }
   }
   return out;
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(grad_output.size() == argmax_.size())
-      << "MaxPool2d::backward: gradient has " << grad_output.size()
-      << " elements but forward produced " << argmax_.size();
+  PRIONN_CHECK(!input_shape_.empty() &&
+               grad_output.size() == argmax_.size())
+      << "MaxPool2d::backward: needs the state of a training forward "
+         "with matching output; gradient has "
+      << grad_output.size() << " elements, forward kept " << argmax_.size();
   Tensor grad_input(input_shape_);
   for (std::size_t i = 0; i < grad_output.size(); ++i)
     grad_input[argmax_[i]] += grad_output[i];
@@ -106,13 +131,18 @@ Shape MaxPool1d::output_shape(const Shape& input) const {
   return {input[0], (input[1] - window_) / stride_ + 1};
 }
 
-Tensor MaxPool1d::forward(const Tensor& input, bool /*training*/) {
-  input_shape_ = input.shape();
+Tensor MaxPool1d::forward(const Tensor& input, bool training) {
   const std::size_t batch = input.dim(0), c = input.dim(1);
   const std::size_t len = input.dim(2);
   const std::size_t ol = (len - window_) / stride_ + 1;
   Tensor out({batch, c, ol});
-  argmax_.assign(out.size(), 0);
+  if (training) {
+    input_shape_ = input.shape();
+    argmax_.assign(out.size(), 0);
+  } else {
+    input_shape_.clear();
+    argmax_.clear();
+  }
   std::size_t oi = 0;
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t ch = 0; ch < c; ++ch) {
@@ -129,7 +159,7 @@ Tensor MaxPool1d::forward(const Tensor& input, bool /*training*/) {
           }
         }
         out[oi] = best;
-        argmax_[oi] = best_idx;
+        if (training) argmax_[oi] = best_idx;
       }
     }
   }
@@ -137,9 +167,11 @@ Tensor MaxPool1d::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor MaxPool1d::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(grad_output.size() == argmax_.size())
-      << "MaxPool1d::backward: gradient has " << grad_output.size()
-      << " elements but forward produced " << argmax_.size();
+  PRIONN_CHECK(!input_shape_.empty() &&
+               grad_output.size() == argmax_.size())
+      << "MaxPool1d::backward: needs the state of a training forward "
+         "with matching output; gradient has "
+      << grad_output.size() << " elements, forward kept " << argmax_.size();
   Tensor grad_input(input_shape_);
   for (std::size_t i = 0; i < grad_output.size(); ++i)
     grad_input[argmax_[i]] += grad_output[i];

@@ -1,5 +1,6 @@
-// Max pooling (2-D over NCHW, 1-D over NCL). Stores the winning index of
-// each window for the backward scatter.
+// Max pooling (2-D over NCHW, 1-D over NCL). A training forward stores the
+// winning index of each window for the backward scatter; an inference
+// forward stores nothing.
 #pragma once
 
 #include <memory>

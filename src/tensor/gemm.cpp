@@ -53,9 +53,10 @@ inline void micro_edge(std::size_t mr, std::size_t nr, std::size_t kc,
     for (std::size_t j = 0; j < nr; ++j) c[i * ldc + j] += alpha * acc[i][j];
 }
 
-void gemm_rows(std::size_t row_lo, std::size_t row_hi, std::size_t k,
-               std::size_t n, float alpha, const float* a, const float* b,
-               float beta, float* c) {
+/// C rows [row_lo, row_hi) *= beta, with beta == 0 overwriting (so NaN
+/// in C does not survive).
+void scale_rows(std::size_t row_lo, std::size_t row_hi, std::size_t n,
+                float beta, float* c) {
   for (std::size_t i = row_lo; i < row_hi; ++i) {
     float* ci = c + i * n;
     if (beta == 0.0f) {
@@ -64,6 +65,12 @@ void gemm_rows(std::size_t row_lo, std::size_t row_hi, std::size_t k,
       for (std::size_t j = 0; j < n; ++j) ci[j] *= beta;
     }
   }
+}
+
+void gemm_rows(std::size_t row_lo, std::size_t row_hi, std::size_t k,
+               std::size_t n, float alpha, const float* a, const float* b,
+               float beta, float* c) {
+  scale_rows(row_lo, row_hi, n, beta, c);
   for (std::size_t pc = 0; pc < k; pc += kKC) {
     const std::size_t kc = std::min(kKC, k - pc);
     for (std::size_t jc = 0; jc < n; jc += kNC) {
@@ -137,10 +144,72 @@ void transpose_into(const float* src, std::size_t rows, std::size_t cols,
   }
 }
 
+// The few-row kernels below must stay scalar. GCC would vectorise each
+// dot product along p as an in-order reduction (one vector multiply, then
+// the adds one at a time), which rounds every product before its add and
+// so loses the FMA contraction of the tiled kernels. Scalar, each chain
+// contracts exactly as the tiled kernels do: fused where the target has
+// FMA, a separate multiply and add where it has not.
+#if defined(__GNUC__) && !defined(__clang__)
+#define PRIONN_SCALAR_DOTS __attribute__((optimize("no-tree-vectorize")))
+#else
+#define PRIONN_SCALAR_DOTS
+#endif
+
+/// Dot products side by side, one accumulator each, to cover the latency
+/// of the adds.
+constexpr std::size_t kDots = 8;
+
+/// c[j] += alpha * (a . b[j]) for j < J, where b[j] is the row b + j * ldb
+/// and each dot product sums its kc terms from zero in order.
+template <std::size_t J>
+PRIONN_SCALAR_DOTS inline void dot_block(std::size_t kc, float alpha,
+                                         const float* a, const float* b,
+                                         std::size_t ldb, float* c) {
+  float acc[J] = {};
+  for (std::size_t p = 0; p < kc; ++p) {
+    const float ap = a[p];
+    for (std::size_t j = 0; j < J; ++j) acc[j] += ap * b[j * ldb + p];
+  }
+  for (std::size_t j = 0; j < J; ++j) c[j] += alpha * acc[j];
+}
+
+/// gemm_bt for few rows: C[i, j] is the dot product of row i of A with row
+/// j of B, both contiguous, so B is read in place instead of transposed.
+/// Every element takes the tiled path's operations in the same order:
+/// scaled by beta, then per k-block of kKC a sum from zero in p order,
+/// added in as c += alpha * sum.
+PRIONN_SCALAR_DOTS void gemm_bt_dots(std::size_t m, std::size_t k,
+                                     std::size_t n, float alpha,
+                                     const float* a, const float* b,
+                                     float beta, float* c) {
+  scale_rows(0, m, n, beta, c);
+  for (std::size_t pc = 0; pc < k; pc += kKC) {
+    const std::size_t kc = std::min(kKC, k - pc);
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* ai = a + i * k + pc;
+      float* ci = c + i * n;
+      std::size_t j = 0;
+      for (; j + kDots <= n; j += kDots)
+        dot_block<kDots>(kc, alpha, ai, b + j * k + pc, k, ci + j);
+      for (; j < n; ++j)
+        dot_block<1>(kc, alpha, ai, b + j * k + pc, k, ci + j);
+    }
+  }
+}
+
+#undef PRIONN_SCALAR_DOTS
+
 }  // namespace
 
 void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
              const float* a, const float* b, float beta, float* c) {
+  // Fewer rows than one register tile: the dot products read B in place,
+  // where the transpose below would cost more than the multiply itself.
+  if (m < kMR) {
+    gemm_bt_dots(m, k, n, alpha, a, b, beta, c);
+    return;
+  }
   // Materialise B (stored n x k) as (k x n) once and reuse the tiled GEMM:
   // the transpose is O(k n) against the O(m k n) multiply and the scratch
   // is recycled across calls.
@@ -148,16 +217,6 @@ void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
   if (bt.size() < k * n) bt.resize(k * n);
   transpose_into(b, n, k, bt.data());
   gemm(m, k, n, alpha, a, bt.data(), beta, c);
-}
-
-void gemv(std::size_t m, std::size_t k, const float* a, const float* x,
-          float beta, float* y) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float acc = beta == 0.0f ? 0.0f : beta * y[i];
-    const float* ai = a + i * k;
-    for (std::size_t p = 0; p < k; ++p) acc += ai[p] * x[p];
-    y[i] = acc;
-  }
 }
 
 }  // namespace prionn::tensor

@@ -17,11 +17,9 @@ void gemm_at(std::size_t m, std::size_t k, std::size_t n, float alpha,
              const float* a, const float* b, float beta, float* c);
 
 /// C[m x n] = alpha * A[m x k] * B^T[n x k] + beta * C (B stored n x k).
+/// Below four rows (Dense at serving batch sizes) B is read in place as
+/// row dot products; the result is bitwise the rows of a larger call.
 void gemm_bt(std::size_t m, std::size_t k, std::size_t n, float alpha,
              const float* a, const float* b, float beta, float* c);
-
-/// y[m] = A[m x k] * x[k] (+ y if beta == 1).
-void gemv(std::size_t m, std::size_t k, const float* a, const float* x,
-          float beta, float* y);
 
 }  // namespace prionn::tensor

@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/model_zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
@@ -52,9 +54,10 @@ double objective(nn::Layer& layer, const Tensor& input) {
 
 /// Finite-difference check of both input and parameter gradients.
 void check_gradients(nn::Layer& layer, Tensor input, double tolerance) {
-  // Analytic gradients.
+  // Analytic gradients: backward reads what a training forward keeps. No
+  // layer checked here has dropout, so the output is the inference one.
   layer.zero_gradients();
-  const Tensor out = layer.forward(input, /*training=*/false);
+  const Tensor out = layer.forward(input, /*training=*/true);
   const Tensor grad_in = layer.backward(out);  // dObj/dOut == out
 
   constexpr float kEps = 1e-2f;
@@ -516,7 +519,7 @@ TEST_P(Conv2dAdjoint, DotProductIdentity) {
   nn::Conv2d conv(random_tensor({kOut, p.channels, p.kernel, p.kernel}, 11),
                   Tensor({kOut}), p.stride, p.pad);
   const Tensor x = random_tensor({2, p.channels, p.height, p.width}, 12);
-  const Tensor fx = conv.forward(x, false);
+  const Tensor fx = conv.forward(x, /*training=*/true);
   const Tensor y = random_tensor(fx.shape(), 13);
   const Tensor by = conv.backward(y);
 
@@ -895,4 +898,158 @@ TEST(Network, GradientClippingBounds) {
   for (const auto* g : net.gradients())
     for (std::size_t i = 0; i < g->size(); ++i)
       EXPECT_LE(std::abs((*g)[i]), 1e-4f + 1e-7f);
+}
+
+// ----------------------------------------------------- inference forward ---
+
+namespace {
+
+/// One layer of a kind and a two-sample batch it accepts.
+struct KindCase {
+  std::unique_ptr<nn::Layer> layer;
+  Tensor input;
+};
+
+std::vector<KindCase> one_layer_of_each_kind() {
+  prionn::util::Rng rng(61);
+  std::vector<KindCase> cases;
+  const auto add = [&](std::unique_ptr<nn::Layer> l,
+                       prionn::tensor::Shape shape) {
+    cases.push_back({std::move(l), random_tensor(std::move(shape), 62)});
+  };
+  add(std::make_unique<nn::Dense>(6, 4, rng), {2, 6});
+  add(std::make_unique<nn::Conv2d>(2, 3, 3, 3, 1, 1, rng), {2, 2, 5, 5});
+  add(std::make_unique<nn::Conv1d>(2, 3, 3, 1, 1, rng), {2, 2, 9});
+  add(std::make_unique<nn::Relu>(), {2, 6});
+  add(std::make_unique<nn::Tanh>(), {2, 6});
+  add(std::make_unique<nn::Sigmoid>(), {2, 6});
+  add(std::make_unique<nn::MaxPool2d>(2), {2, 2, 4, 4});
+  add(std::make_unique<nn::MaxPool1d>(2), {2, 2, 8});
+  add(std::make_unique<nn::Flatten>(), {2, 2, 3});
+  add(std::make_unique<nn::Dropout>(0.5), {2, 6});
+  add(std::make_unique<nn::BatchNorm>(2), {2, 2, 3});
+  return cases;
+}
+
+/// The first `n` samples of a batch.
+Tensor first_samples(const Tensor& batch, std::size_t n) {
+  prionn::tensor::Shape shape = batch.shape();
+  const std::size_t per_sample = batch.size() / shape[0];
+  shape[0] = n;
+  return Tensor(shape, std::vector<float>(batch.data(),
+                                          batch.data() + n * per_sample));
+}
+
+}  // namespace
+
+// An inference forward keeps no backward state, so a backward after it
+// must fail loudly instead of reading missing or stale state.
+TEST(Layer, BackwardAfterInferenceForwardThrows) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (KindCase& c : one_layer_of_each_kind()) {
+    nn::Layer& layer = *c.layer;
+    SCOPED_TRACE(layer.kind());
+    // Control: a training forward leaves what backward reads.
+    const Tensor y = layer.forward(c.input, /*training=*/true);
+    const Tensor gx = layer.backward(y);
+    EXPECT_TRUE(gx.same_shape(c.input));
+    // An inference forward alone.
+    const Tensor one = first_samples(c.input, 1);
+    const Tensor y1 = layer.forward(one, /*training=*/false);
+    EXPECT_DEATH(layer.backward(y1), "backward: needs");
+    // Stale: a training forward, then an inference forward, then the
+    // backward of the training batch.
+    layer.forward(c.input, /*training=*/true);
+    layer.forward(one, /*training=*/false);
+    EXPECT_DEATH(layer.backward(y), "backward: needs");
+  }
+}
+
+// The serving models, dropout off: an inference forward at batch 1, 3 and
+// 32 gives bitwise the rows of a batch-32 training forward, whichever
+// kernel (few-row dot products or tiled GEMM) the batch size selects.
+TEST(Network, InferenceForwardMatchesTrainingForwardBitwise) {
+  using prionn::core::ModelKind;
+  for (const ModelKind kind : {ModelKind::kCnn2d, ModelKind::kCnn1d,
+                               ModelKind::kFullyConnected}) {
+    prionn::core::ModelConfig cfg;
+    cfg.kind = kind;
+    cfg.dropout = 0.0;
+    auto net = prionn::core::build_model(cfg);
+    const prionn::tensor::Shape batch =
+        kind == ModelKind::kCnn1d
+            ? prionn::tensor::Shape{32, cfg.channels, cfg.rows * cfg.cols}
+            : prionn::tensor::Shape{32, cfg.channels, cfg.rows, cfg.cols};
+    const Tensor x = random_tensor(batch, 63);
+    const Tensor want = net.forward(x, /*training=*/true);
+    for (const std::size_t n : {1u, 3u, 32u}) {
+      const Tensor got = net.forward(first_samples(x, n), false);
+      EXPECT_TRUE(same_bits(got, first_samples(want, n)))
+          << prionn::core::model_name(kind) << " at batch " << n;
+    }
+  }
+}
+
+namespace {
+
+/// The scalar max-pool scan: per output, (ky, kx) order from -inf, a value
+/// replaces the best only when greater.
+Tensor reference_pool(const Tensor& x, std::size_t window,
+                      std::size_t stride) {
+  const std::size_t planes = x.dim(0) * x.dim(1);
+  const std::size_t h = x.dim(2), w = x.dim(3);
+  const std::size_t oh = (h - window) / stride + 1;
+  const std::size_t ow = (w - window) / stride + 1;
+  Tensor out({x.dim(0), x.dim(1), oh, ow});
+  for (std::size_t p = 0, oi = 0; p < planes; ++p)
+    for (std::size_t oy = 0; oy < oh; ++oy)
+      for (std::size_t ox = 0; ox < ow; ++ox, ++oi) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (std::size_t ky = 0; ky < window; ++ky)
+          for (std::size_t kx = 0; kx < window; ++kx) {
+            const float v =
+                x[(p * h + oy * stride + ky) * w + ox * stride + kx];
+            if (v > best) best = v;
+          }
+        out[oi] = best;
+      }
+  return out;
+}
+
+}  // namespace
+
+TEST(MaxPool2d, NanAndSignedZeroWindowsKeepTheScalarScan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Four 2x2 windows, scanned (0,0) (0,1) (1,0) (1,1):
+  //   NaN 1 / 2 NaN   -> 2 (NaN never wins), from flat index 8
+  //   -0 +0 / +0 +0   -> -0 (+0 is not greater), from index 2
+  //   +0 -0 / -0 -0   -> +0, from index 4
+  //   all NaN         -> -inf, index 0
+  const Tensor x({1, 1, 2, 8}, std::vector<float>{nan, 1.0f, -0.0f, 0.0f,
+                                                  0.0f, -0.0f, nan, nan,
+                                                  2.0f, nan, 0.0f, 0.0f,
+                                                  -0.0f, -0.0f, nan, nan});
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor want({1, 1, 1, 4}, std::vector<float>{2.0f, -0.0f, 0.0f, -inf});
+  for (const bool training : {false, true}) {
+    nn::MaxPool2d pool(2);
+    EXPECT_TRUE(same_bits(pool.forward(x, training), want)) << training;
+  }
+  nn::MaxPool2d pool(2);
+  pool.forward(x, /*training=*/true);
+  const Tensor gx = pool.backward(Tensor({1, 1, 1, 4}, 1.0f));
+  for (std::size_t i = 0; i < gx.size(); ++i)
+    EXPECT_EQ(gx[i], (i == 8 || i == 2 || i == 4 || i == 0) ? 1.0f : 0.0f)
+        << i;
+
+  // Overlapping windows over planes sprinkled with NaN and signed zeros.
+  Tensor r = random_tensor({2, 3, 9, 11}, 64);
+  for (std::size_t i = 0; i < r.size(); i += 7) r[i] = nan;
+  for (std::size_t i = 3; i < r.size(); i += 5) r[i] = (i % 2) ? -0.0f : 0.0f;
+  for (const bool training : {false, true}) {
+    nn::MaxPool2d overlapping(3, 2);
+    EXPECT_TRUE(same_bits(overlapping.forward(r, training),
+                          reference_pool(r, 3, 2)))
+        << training;
+  }
 }

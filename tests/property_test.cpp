@@ -116,7 +116,9 @@ TEST(NetworkGradient, FullBackpropMatchesFiniteDifferenceOfLoss) {
     auto logits = net.forward(input, false);
     return prionn::nn::softmax_cross_entropy(logits, y).value;
   };
-  auto logits = net.forward(x, false);
+  // Backward reads what a training forward keeps; the net has no dropout,
+  // so the logits are those of an inference forward.
+  auto logits = net.forward(x, /*training=*/true);
   auto loss = prionn::nn::softmax_cross_entropy(logits, y);
   const auto grad_x = net.backward(loss.grad);
 

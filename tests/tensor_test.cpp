@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "tensor/gemm.hpp"
@@ -191,13 +193,40 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmTransposed,
                                            GemmShape{16, 33, 65},
                                            GemmShape{37, 128, 41}));
 
-TEST(Gemv, MatchesGemmRow) {
-  const auto a = random_vec(6 * 9, 8);
-  const auto x = random_vec(9, 9);
-  std::vector<float> y(6, 0.0f), y_ref(6, 0.0f);
-  t::gemv(6, 9, a.data(), x.data(), 0.0f, y.data());
-  naive_gemm(6, 9, 1, 1.0f, a.data(), x.data(), 0.0f, y_ref.data());
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-4f);
+// Below four rows gemm_bt computes dot products against B's rows instead
+// of transposing B; every output must keep the bits of the tiled path, at
+// each k-block boundary and with either FMA contraction setting.
+TEST(Gemm, FewRowBtMatchesRowsOfFullCall) {
+  constexpr std::size_t kFull = 32;
+  const std::size_t ks[] = {1, 64, 96, 255, 256, 257, 1152};
+  const std::size_t ns[] = {1, 7, 13, 33, 44, 100, 960, 965};
+  const std::pair<float, float> scales[] = {{1.0f, 0.0f}, {0.7f, 1.0f},
+                                            {1.0f, 0.5f}};
+  for (const std::size_t k : ks) {
+    for (const std::size_t n : ns) {
+      const auto a = random_vec(kFull * k, 31);
+      const auto bt = random_vec(n * k, 32);  // stored n x k
+      const auto c0 = random_vec(kFull * n, 33);
+      for (const auto& [alpha, beta] : scales) {
+        auto full = c0;
+        t::gemm_bt(kFull, k, n, alpha, a.data(), bt.data(), beta,
+                   full.data());
+        for (std::size_t m = 1; m < 4; ++m) {
+          for (const std::size_t r : {std::size_t{0}, kFull - m}) {
+            std::vector<float> few(c0.begin() + r * n,
+                                   c0.begin() + (r + m) * n);
+            t::gemm_bt(m, k, n, alpha, a.data() + r * k, bt.data(), beta,
+                       few.data());
+            ASSERT_EQ(std::memcmp(few.data(), full.data() + r * n,
+                                  m * n * sizeof(float)),
+                      0)
+                << "m=" << m << " rows from " << r << " k=" << k
+                << " n=" << n << " alpha=" << alpha << " beta=" << beta;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- Ops ---
