@@ -43,13 +43,16 @@ namespace {
 /// still scans its window in (ky, kx) order from -inf and keeps a value
 /// only when `v > best`. A NaN therefore never wins, and of -0.0 and +0.0
 /// the first one seen stays. With kArgmax, arg[ox] records the flat input
-/// index of the winner (0 when nothing beats -inf), for backward.
+/// index of the winner for backward; a window where nothing beats -inf
+/// (all NaN or -inf) keeps its own first element.
 template <bool kArgmax>
 void pool_row(const float* plane, std::size_t w, std::size_t iy0,
               std::size_t window, std::size_t stride, std::size_t ow,
               float* out, std::size_t* arg, std::size_t plane_base) {
   std::fill_n(out, ow, -std::numeric_limits<float>::infinity());
-  if constexpr (kArgmax) std::fill_n(arg, ow, std::size_t{0});
+  if constexpr (kArgmax)
+    for (std::size_t ox = 0; ox < ow; ++ox)
+      arg[ox] = plane_base + iy0 * w + ox * stride;
   for (std::size_t ky = 0; ky < window; ++ky) {
     const std::size_t row = (iy0 + ky) * w;
     for (std::size_t kx = 0; kx < window; ++kx) {
@@ -149,8 +152,9 @@ Tensor MaxPool1d::forward(const Tensor& input, bool training) {
       const float* lane = input.data() + (n * c + ch) * len;
       const std::size_t lane_base = (n * c + ch) * len;
       for (std::size_t o = 0; o < ol; ++o, ++oi) {
+        // A window where nothing beats -inf keeps its first element.
         float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
+        std::size_t best_idx = lane_base + o * stride_;
         for (std::size_t k = 0; k < window_; ++k) {
           const std::size_t i = o * stride_ + k;
           if (lane[i] > best) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/obs.hpp"
 
 namespace prionn::sched {
 
@@ -12,28 +15,39 @@ constexpr double kMinRemaining = 1.0;  // seconds
 }  // namespace
 
 ClusterSimulator::ClusterSimulator(ClusterOptions options)
-    : options_(options), free_nodes_(options.total_nodes) {
+    : ClusterSimulator(options, LiveState{0.0, options.total_nodes, {}, {}}) {
   if (options_.total_nodes == 0)
     throw std::invalid_argument("ClusterSimulator: need at least one node");
 }
 
+ClusterSimulator::ClusterSimulator(ClusterOptions options, LiveState live)
+    : options_(options), live_(std::move(live)) {}
+
+const ClusterSimulator::Running* ClusterSimulator::find_running(
+    std::uint64_t id) const noexcept {
+  // Newest first: a job that has just started is at the back.
+  for (auto it = live_.running.rbegin(); it != live_.running.rend(); ++it)
+    if (it->id == id) return &*it;
+  return nullptr;
+}
+
 double ClusterSimulator::next_completion_time() const noexcept {
   double t = kInfinity;
-  for (const auto& r : running_) t = std::min(t, r.actual_end);
+  for (const auto& r : live_.running) t = std::min(t, r.actual_end);
   return t;
 }
 
 void ClusterSimulator::complete_due_jobs() {
   // Pop every running job whose actual end is due. Iterate because several
   // jobs can end at the same instant.
-  for (std::size_t i = 0; i < running_.size();) {
-    if (running_[i].actual_end <= now_ + 1e-9) {
-      const Running& r = running_[i];
+  for (std::size_t i = 0; i < live_.running.size();) {
+    if (live_.running[i].actual_end <= live_.now + 1e-9) {
+      const Running& r = live_.running[i];
       completed_.push_back(
           ScheduledJob{r.id, r.submit, r.start, r.actual_end});
-      free_nodes_ += r.nodes;
-      running_[i] = running_.back();
-      running_.pop_back();
+      live_.free_nodes += r.nodes;
+      live_.running[i] = live_.running.back();
+      live_.running.pop_back();
     } else {
       ++i;
     }
@@ -41,28 +55,30 @@ void ClusterSimulator::complete_due_jobs() {
 }
 
 void ClusterSimulator::start_job(const SimJob& job, std::size_t queue_pos) {
-  free_nodes_ -= job.nodes;
+  live_.free_nodes -= job.nodes;
   Running r;
   r.id = job.id;
   r.nodes = job.nodes;
-  r.start = now_;
+  r.start = live_.now;
   r.submit = job.submit_time;
-  r.actual_end = now_ + std::max(job.runtime, kMinRemaining);
-  r.believed_end = now_ + std::max(job.believed_runtime, kMinRemaining);
-  running_.push_back(r);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(queue_pos));
+  r.actual_end = live_.now + std::max(job.runtime, kMinRemaining);
+  r.believed_end = live_.now + std::max(job.believed_runtime, kMinRemaining);
+  live_.running.push_back(r);
+  live_.queue.erase(live_.queue.begin() +
+                    static_cast<std::ptrdiff_t>(queue_pos));
 }
 
 void ClusterSimulator::try_start_jobs() {
   // FCFS: start queue-head jobs while they fit.
-  while (!queue_.empty() && queue_.front().nodes <= free_nodes_) {
-    if (queue_.front().nodes > options_.total_nodes)
+  while (!live_.queue.empty() &&
+         live_.queue.front().nodes <= live_.free_nodes) {
+    if (live_.queue.front().nodes > options_.total_nodes)
       throw std::invalid_argument(
           "ClusterSimulator: job larger than the machine");
-    start_job(queue_.front(), 0);
+    start_job(live_.queue.front(), 0);
   }
-  if (queue_.empty() || !options_.easy_backfill) return;
-  if (queue_.front().nodes > options_.total_nodes)
+  if (live_.queue.empty() || !options_.easy_backfill) return;
+  if (live_.queue.front().nodes > options_.total_nodes)
     throw std::invalid_argument(
         "ClusterSimulator: job larger than the machine");
 
@@ -70,14 +86,14 @@ void ClusterSimulator::try_start_jobs() {
   // blocked head job could start, believing the scheduler's runtime
   // estimates, and the nodes left over at that instant.
   std::vector<std::pair<double, std::uint32_t>> releases;  // (believed_end, nodes)
-  releases.reserve(running_.size());
-  for (const auto& r : running_)
-    releases.emplace_back(std::max(r.believed_end, now_), r.nodes);
+  releases.reserve(live_.running.size());
+  for (const auto& r : live_.running)
+    releases.emplace_back(std::max(r.believed_end, live_.now), r.nodes);
   std::sort(releases.begin(), releases.end());
 
-  const std::uint32_t head_nodes = queue_.front().nodes;
-  std::uint32_t available = free_nodes_;
-  double shadow_time = now_;
+  const std::uint32_t head_nodes = live_.queue.front().nodes;
+  std::uint32_t available = live_.free_nodes;
+  double shadow_time = live_.now;
   for (const auto& [end, nodes] : releases) {
     if (available >= head_nodes) break;
     available += nodes;
@@ -88,11 +104,11 @@ void ClusterSimulator::try_start_jobs() {
   const std::uint32_t extra_nodes =
       available >= head_nodes ? available - head_nodes : 0;
 
-  for (std::size_t i = 1; i < queue_.size();) {
-    const SimJob& candidate = queue_[i];
-    if (candidate.nodes <= free_nodes_) {
+  for (std::size_t i = 1; i < live_.queue.size();) {
+    const SimJob& candidate = live_.queue[i];
+    if (candidate.nodes <= live_.free_nodes) {
       const double believed_end =
-          now_ + std::max(candidate.believed_runtime, kMinRemaining);
+          live_.now + std::max(candidate.believed_runtime, kMinRemaining);
       const bool fits_before_shadow = believed_end <= shadow_time + 1e-9;
       const bool fits_in_extra = candidate.nodes <= extra_nodes;
       if (fits_before_shadow || fits_in_extra) {
@@ -105,23 +121,23 @@ void ClusterSimulator::try_start_jobs() {
 }
 
 void ClusterSimulator::advance_to(double time) {
-  if (time < now_) return;
+  if (time < live_.now) return;
   for (;;) {
     const double next = next_completion_time();
     if (next > time) break;
-    now_ = next;
+    live_.now = next;
     complete_due_jobs();
     try_start_jobs();
   }
-  now_ = time;
+  live_.now = time;
 }
 
 void ClusterSimulator::submit(const SimJob& job) {
-  if (job.submit_time < now_)
+  if (job.submit_time < live_.now)
     throw std::invalid_argument(
         "ClusterSimulator::submit: out-of-order submission");
   advance_to(job.submit_time);
-  queue_.push_back(job);
+  live_.queue.push_back(job);
   try_start_jobs();
 }
 
@@ -147,44 +163,48 @@ std::vector<ScheduledJob> ClusterSimulator::run(
 double ClusterSimulator::snapshot_turnaround(
     std::uint64_t job_id,
     const std::function<double(std::uint64_t)>& predicted) const {
-  ClusterSimulator clone = *this;
-  clone.completed_.clear();
+  // End of a running job whose remaining time comes from a prediction.
+  const auto predicted_end = [&](const Running& r) {
+    const double elapsed = live_.now - r.start;
+    return live_.now + std::max(kMinRemaining, predicted(r.id) - elapsed);
+  };
+  // Negative means unknown, so a negative end reads as unknown too.
+  const auto turnaround = [](double end, double submit) {
+    return end >= 0.0 ? end - submit : -1.0;
+  };
+  // A replay ends each job at the end fixed when it started, so a target
+  // that is already running is answered without one.
+  if (const Running* target = find_running(job_id))
+    return turnaround(predicted_end(*target), target->submit);
+  if (std::none_of(live_.queue.rbegin(), live_.queue.rend(),
+                   [&](const SimJob& q) { return q.id == job_id; }))
+    return -1.0;
 
-  // Replace runtimes of running jobs with prediction-derived remainders.
-  for (auto& r : clone.running_) {
-    const double elapsed = clone.now_ - r.start;
-    const double remaining =
-        std::max(kMinRemaining, predicted(r.id) - elapsed);
-    r.actual_end = clone.now_ + remaining;
+  ClusterSimulator clone(options_, live_);
+  for (auto& r : clone.live_.running) {
+    r.actual_end = predicted_end(r);
     r.believed_end = r.actual_end;
   }
-  // Replace runtimes of queued jobs with predictions outright.
-  bool found = false;
-  for (auto& q : clone.queue_) {
+  for (auto& q : clone.live_.queue) {
     const double p = std::max(kMinRemaining, predicted(q.id));
     q.runtime = p;
     q.believed_runtime = p;
-    if (q.id == job_id) found = true;
   }
-  for (const auto& r : clone.running_)
-    if (r.id == job_id) found = true;
-  if (!found) return -1.0;
 
-  // Replay the clone until the target job completes.
-  double submit_time = -1.0, end_time = -1.0;
-  while (!clone.idle()) {
+  // Replay event by event until the target starts.
+  std::uint64_t steps = 0;
+  const Running* target = nullptr;
+  while (target == nullptr) {
     const double next = clone.next_completion_time();
     if (next == kInfinity) break;
     clone.advance_to(next);
-    for (const auto& done : clone.completed_) {
-      if (done.id == job_id) {
-        submit_time = done.submit_time;
-        end_time = done.end_time;
-      }
-    }
-    if (end_time >= 0.0) break;
+    ++steps;
+    target = clone.find_running(job_id);
   }
-  return end_time >= 0.0 ? end_time - submit_time : -1.0;
+  PRIONN_OBS_ADD("prionn_sched_snapshot_replay_steps_total",
+                 "advance_to steps taken by snapshot turnaround replays",
+                 steps);
+  return target ? turnaround(target->actual_end, target->submit) : -1.0;
 }
 
 }  // namespace prionn::sched

@@ -8,8 +8,8 @@
 // The simulator is copyable by design: the paper's turnaround-time
 // predictor snapshots the live system state on every submission, replaces
 // the runtimes of queued/running jobs with predictions, and replays the
-// copy forward (section 4.2). snapshot_turnaround() implements exactly
-// that.
+// copy forward (section 4.2). snapshot_turnaround() implements that, and
+// replays only as far as the answer needs (see its comment).
 #pragma once
 
 #include <cstdint>
@@ -31,11 +31,13 @@ class ClusterSimulator {
   explicit ClusterSimulator(ClusterOptions options = {});
 
   /// --- Incremental interface ---------------------------------------
-  double now() const noexcept { return now_; }
-  std::uint32_t free_nodes() const noexcept { return free_nodes_; }
-  std::size_t running_count() const noexcept { return running_.size(); }
-  std::size_t queued_count() const noexcept { return queue_.size(); }
-  bool idle() const noexcept { return running_.empty() && queue_.empty(); }
+  double now() const noexcept { return live_.now; }
+  std::uint32_t free_nodes() const noexcept { return live_.free_nodes; }
+  std::size_t running_count() const noexcept { return live_.running.size(); }
+  std::size_t queued_count() const noexcept { return live_.queue.size(); }
+  bool idle() const noexcept {
+    return live_.running.empty() && live_.queue.empty();
+  }
 
   /// Advance simulated time, processing completions and starts.
   void advance_to(double time);
@@ -58,11 +60,23 @@ class ClusterSimulator {
   std::vector<ScheduledJob> run(const std::vector<SimJob>& jobs);
 
   /// --- Snapshot turnaround prediction (paper section 4.2) -----------
-  /// Clone the current state, override the runtime of every queued and
-  /// running job with `predicted(id)` (remaining time for running jobs is
-  /// prediction minus elapsed, floored at one second), then replay the
-  /// clone until `job_id` completes. Returns predicted completion minus
-  /// the job's submit time, or a negative value if the job is unknown.
+  /// Predict `job_id`'s turnaround by replaying a clone of the current
+  /// state in which every queued and running job has its runtime
+  /// overridden by `predicted(id)` (remaining time for running jobs is
+  /// prediction minus elapsed, floored at one second) and nothing else is
+  /// submitted. Returns the job's completion in that replay minus its
+  /// submit time, or a negative value if `job_id` is not a live (queued or
+  /// running) job. Ids must be unique among live jobs.
+  ///
+  /// The replay stops when the target starts, which is exact: a job's end
+  /// is fixed when it starts (start plus its overridden runtime) and
+  /// nothing later in the replay moves it. So
+  ///   - a running target is answered as now + max(1, predicted - elapsed)
+  ///     - submit, with no clone;
+  ///   - for a queued target only the live state (not the completed
+  ///     history) is cloned, and advanced one completion event at a time
+  ///     until the target starts. The number of events is added to the
+  ///     `prionn_sched_snapshot_replay_steps_total` counter.
   double snapshot_turnaround(
       std::uint64_t job_id,
       const std::function<double(std::uint64_t)>& predicted) const;
@@ -77,16 +91,25 @@ class ClusterSimulator {
     double believed_end = 0.0;  // drives reservations/backfill
   };
 
+  /// Everything that decides the future schedule; a snapshot copies this
+  /// and not the completed history.
+  struct LiveState {
+    double now = 0.0;
+    std::uint32_t free_nodes = 0;
+    std::vector<Running> running;
+    std::deque<SimJob> queue;
+  };
+
+  ClusterSimulator(ClusterOptions options, LiveState live);
+
   void try_start_jobs();
   void start_job(const SimJob& job, std::size_t queue_pos);
   double next_completion_time() const noexcept;
   void complete_due_jobs();
+  const Running* find_running(std::uint64_t id) const noexcept;
 
   ClusterOptions options_;
-  double now_ = 0.0;
-  std::uint32_t free_nodes_;
-  std::vector<Running> running_;
-  std::deque<SimJob> queue_;
+  LiveState live_;
   std::vector<ScheduledJob> completed_;
 };
 

@@ -3,7 +3,9 @@
 // trainer, and the phase-2 pipeline helpers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 #include "core/bins.hpp"
@@ -13,7 +15,9 @@
 #include "core/predictor.hpp"
 #include "core/script_image.hpp"
 #include "embed/word2vec.hpp"
+#include "obs/obs.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace core = prionn::core;
@@ -552,3 +556,116 @@ TEST(Pipeline, SizeMismatchesThrow) {
   EXPECT_THROW(core::predicted_io_intervals_predicted(jobs, {}, {}),
                std::invalid_argument);
 }
+
+// ------------------------------------------ turnaround golden digests ---
+
+namespace {
+
+/// FNV-1a over the bit patterns of every job's simulated, user-predicted
+/// and PRIONN-predicted turnaround, in job order.
+std::string turnaround_digest(const core::TurnaroundEval& eval) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&](double v) {
+    auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b, bits >>= 8) {
+      h ^= bits & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::size_t i = 0; i < eval.simulated.size(); ++i) {
+    add(eval.simulated[i]);
+    add(eval.predicted_user[i]);
+    add(eval.predicted_prionn[i]);
+  }
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << h;
+  return os.str();
+}
+
+/// A Cab-like trace for a `nodes`-node machine: node requests clamped to
+/// the machine and, when `load` > 0, submit times rescaled so the trace
+/// offers that load (node-seconds over machine-seconds). Submit times are
+/// rounded to whole seconds: the generator's own submit times differ in
+/// the last bits between FMA and non-FMA builds, and its runtimes and
+/// requests are whole minutes already, so the digests below hold in both.
+std::vector<tr::JobRecord> machine_jobs(std::size_t n, std::uint64_t seed,
+                                        std::uint32_t nodes, double load) {
+  tr::WorkloadGenerator gen(tr::WorkloadOptions::cab(n, seed));
+  auto jobs = tr::completed_jobs(gen.generate());
+  double node_seconds = 0.0;
+  for (auto& j : jobs) {
+    j.requested_nodes = std::min(j.requested_nodes, nodes);
+    node_seconds +=
+        std::max<std::uint32_t>(1, j.requested_nodes) * j.runtime_seconds();
+  }
+  if (load > 0.0) {
+    const double t0 = jobs.front().submit_time;
+    const double span = node_seconds / (nodes * load);
+    const double scale = span / (jobs.back().submit_time - t0);
+    for (auto& j : jobs) j.submit_time = (j.submit_time - t0) * scale;
+  }
+  for (auto& j : jobs) j.submit_time = std::round(j.submit_time);
+  return jobs;
+}
+
+/// Runtime predictions off by a seeded factor in [0.5, 1.5), in whole
+/// seconds.
+std::vector<core::JobPrediction> noisy_predictions(
+    const std::vector<tr::JobRecord>& jobs, std::uint64_t seed) {
+  prionn::util::Rng rng(seed);
+  std::vector<core::JobPrediction> out(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    out[i].runtime_minutes =
+        std::round(jobs[i].runtime_seconds() * rng.uniform(0.5, 1.5)) / 60.0;
+  return out;
+}
+
+}  // namespace
+
+TEST(Pipeline, TurnaroundBitsMatchGoldenDigests) {
+  // Digests of evaluate_turnaround's three result vectors, recorded from
+  // the full replay-to-completion snapshot. The 48-node machine at load
+  // 0.9 keeps long queues behind blocked heads (the replay path); the
+  // default machine mostly starts jobs on submit.
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t nodes;
+    std::size_t jobs;
+    double load;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {1, 48, 1500, 0.9, "d1a48e3be758923e"},
+      {2, 48, 1500, 0.9, "b0fcf3ce678cb7dc"},
+      {3, 48, 1500, 0.9, "529438e0ac91db41"},
+      {1, 1296, 3000, 0.0, "2c28deed43656b8d"},
+      {2, 1296, 3000, 0.0, "639e0dd7afbbd5ac"},
+      {3, 1296, 3000, 0.0, "1404109e3698a176"},
+  };
+  for (const Case& c : cases) {
+    const auto jobs = machine_jobs(c.jobs, c.seed, c.nodes, c.load);
+    core::Phase2Options opts;
+    opts.cluster.total_nodes = c.nodes;
+    const auto eval =
+        core::evaluate_turnaround(jobs, noisy_predictions(jobs, c.seed), opts);
+    EXPECT_EQ(turnaround_digest(eval), c.digest)
+        << "seed " << c.seed << ", " << c.nodes << " nodes";
+  }
+}
+
+#if PRIONN_OBS_ENABLED
+TEST(Pipeline, UncontendedTurnaroundEvalReplaysNothing) {
+  // Every job starts on submission, so each query is answered from the
+  // running target's own prediction and no snapshot is replayed.
+  auto& steps = prionn::obs::registry().counter(
+      "prionn_sched_snapshot_replay_steps_total");
+  const auto jobs = tiny_jobs(200);
+  core::Phase2Options opts;
+  opts.cluster.total_nodes = 1u << 20;
+  const std::uint64_t before = steps.value();
+  const auto eval =
+      core::evaluate_turnaround(jobs, noisy_predictions(jobs, 5), opts);
+  EXPECT_EQ(steps.value(), before);
+  for (const auto& s : eval.schedule) ASSERT_EQ(s.wait(), 0.0) << s.id;
+}
+#endif  // PRIONN_OBS_ENABLED

@@ -1024,7 +1024,7 @@ TEST(MaxPool2d, NanAndSignedZeroWindowsKeepTheScalarScan) {
   //   NaN 1 / 2 NaN   -> 2 (NaN never wins), from flat index 8
   //   -0 +0 / +0 +0   -> -0 (+0 is not greater), from index 2
   //   +0 -0 / -0 -0   -> +0, from index 4
-  //   all NaN         -> -inf, index 0
+  //   all NaN         -> -inf, its first element, index 6
   const Tensor x({1, 1, 2, 8}, std::vector<float>{nan, 1.0f, -0.0f, 0.0f,
                                                   0.0f, -0.0f, nan, nan,
                                                   2.0f, nan, 0.0f, 0.0f,
@@ -1039,7 +1039,7 @@ TEST(MaxPool2d, NanAndSignedZeroWindowsKeepTheScalarScan) {
   pool.forward(x, /*training=*/true);
   const Tensor gx = pool.backward(Tensor({1, 1, 1, 4}, 1.0f));
   for (std::size_t i = 0; i < gx.size(); ++i)
-    EXPECT_EQ(gx[i], (i == 8 || i == 2 || i == 4 || i == 0) ? 1.0f : 0.0f)
+    EXPECT_EQ(gx[i], (i == 8 || i == 2 || i == 4 || i == 6) ? 1.0f : 0.0f)
         << i;
 
   // Overlapping windows over planes sprinkled with NaN and signed zeros.
@@ -1052,4 +1052,32 @@ TEST(MaxPool2d, NanAndSignedZeroWindowsKeepTheScalarScan) {
                           reference_pool(r, 3, 2)))
         << training;
   }
+}
+
+TEST(MaxPool2d, WindowWithoutWinnerKeepsItsGradientInItsSample) {
+  // Sample 1 is all -inf, so none of its windows has a winner. Their
+  // gradient goes to each window's first element, inside sample 1, and
+  // sample 0 (whose own output gradient is zero) gets none of it.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> values = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f};
+  values.resize(16, -inf);
+  const Tensor x({2, 1, 2, 4}, values);
+  nn::MaxPool2d pool(2);
+  pool.forward(x, /*training=*/true);
+  const Tensor gx = pool.backward(
+      Tensor({2, 1, 1, 2}, std::vector<float>{0.0f, 0.0f, 1.0f, 1.0f}));
+  for (std::size_t i = 0; i < gx.size(); ++i)
+    EXPECT_EQ(gx[i], (i == 8 || i == 10) ? 1.0f : 0.0f) << i;
+}
+
+TEST(MaxPool1d, WindowWithoutWinnerKeepsItsGradientInItsSample) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor x({2, 1, 4}, std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f, -inf,
+                                               -inf, -inf, -inf});
+  nn::MaxPool1d pool(2);
+  pool.forward(x, /*training=*/true);
+  const Tensor gx = pool.backward(
+      Tensor({2, 1, 2}, std::vector<float>{0.0f, 0.0f, 1.0f, 1.0f}));
+  for (std::size_t i = 0; i < gx.size(); ++i)
+    EXPECT_EQ(gx[i], (i == 4 || i == 6) ? 1.0f : 0.0f) << i;
 }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <set>
 
+#include "obs/obs.hpp"
 #include "sched/burst.hpp"
 #include "sched/cluster.hpp"
 #include "sched/io_aware.hpp"
@@ -253,23 +256,133 @@ TEST(Snapshot, ExactWhenNoContention) {
 
 TEST(Snapshot, UnknownJobReturnsNegative) {
   sc::ClusterSimulator sim({4, true});
+  const auto one = [](std::uint64_t) { return 1.0; };
+  EXPECT_LT(sim.snapshot_turnaround(1, one), 0.0);  // empty system
   sim.submit(job(1, 0.0, 1, 10.0));
-  EXPECT_LT(sim.snapshot_turnaround(999, [](std::uint64_t) { return 1.0; }),
-            0.0);
+  EXPECT_LT(sim.snapshot_turnaround(999, one), 0.0);
+  sim.submit(job(2, 1.0, 4, 10.0));
+  sim.submit(job(3, 2.0, 4, 10.0));
+  ASSERT_EQ(sim.queued_count(), 2u);
+  EXPECT_LT(sim.snapshot_turnaround(999, one), 0.0);
+  // A completed job is no longer live.
+  sim.advance_to(12.0);
+  ASSERT_EQ(sim.completed().size(), 1u);
+  EXPECT_LT(sim.snapshot_turnaround(1, one), 0.0);
 }
 
 TEST(Snapshot, DoesNotPerturbLiveSimulation) {
   sc::ClusterSimulator sim({4, true});
+  sim.submit(job(3, 0.0, 1, 0.5));  // ends at 1.0 (one-second floor)
   sim.submit(job(1, 0.0, 2, 100.0));
   sim.submit(job(2, 1.0, 4, 50.0));
   const auto before_queue = sim.queued_count();
   const auto before_now = sim.now();
+  const auto before_completed = sim.completed().size();
+  const auto before_free = sim.free_nodes();
+  const auto before_running = sim.running_count();
+  ASSERT_EQ(before_completed, 1u);
+  ASSERT_EQ(before_running, 1u);
+  // Queued target (replayed) and running target (answered directly).
   (void)sim.snapshot_turnaround(2, [](std::uint64_t) { return 1000.0; });
+  (void)sim.snapshot_turnaround(1, [](std::uint64_t) { return 1000.0; });
   EXPECT_EQ(sim.queued_count(), before_queue);
   EXPECT_DOUBLE_EQ(sim.now(), before_now);
+  EXPECT_EQ(sim.completed().size(), before_completed);
+  EXPECT_EQ(sim.free_nodes(), before_free);
+  EXPECT_EQ(sim.running_count(), before_running);
   sim.drain();
-  EXPECT_EQ(sim.completed().size(), 2u);
+  EXPECT_EQ(sim.completed().size(), 3u);
 }
+
+TEST(Snapshot, RunningTargetAnswersFromItsOwnPrediction) {
+  // A running target ends at now + max(1, predicted - elapsed), whatever
+  // is queued behind it.
+  sc::ClusterSimulator sim({4, true});
+  sim.submit(job(1, 0.25, 2, 100.0));
+  sim.submit(job(2, 3.5, 4, 50.0));  // queued behind job 1
+  sim.advance_to(30.7);
+  const double elapsed = 30.7 - 0.25;
+  for (const double p : {80.3, 31.0, 5.0}) {
+    const double want = 30.7 + std::max(1.0, p - elapsed) - 0.25;
+    EXPECT_EQ(sim.snapshot_turnaround(1, [&](std::uint64_t) { return p; }),
+              want)
+        << p;
+  }
+}
+
+TEST(Snapshot, QueuedTargetStartsThroughBackfill) {
+  // Job 3 waits behind a blocked whole-machine head (job 2). When job 1
+  // ends at t = 20 the head still waits for job 4 (shadow time 100), and
+  // job 3, believed to end by t = 50, backfills.
+  const std::map<std::uint64_t, double> runtime = {
+      {1, 20.0}, {2, 50.0}, {3, 30.0}, {4, 100.0}};
+  const auto predicted = [&](std::uint64_t id) { return runtime.at(id); };
+  for (const bool backfill : {true, false}) {
+    sc::ClusterSimulator sim({4, backfill});
+    sim.submit(job(1, 0.0, 2, 20.0));
+    sim.submit(job(4, 0.0, 2, 100.0));
+    sim.submit(job(2, 1.0, 4, 50.0));
+    sim.submit(job(3, 2.0, 2, 30.0));
+    ASSERT_EQ(sim.queued_count(), 2u);
+    const double answer = sim.snapshot_turnaround(3, predicted);
+    // Without backfill job 3 starts when job 2 ends, at t = 150.
+    EXPECT_EQ(answer, backfill ? 20.0 + 30.0 - 2.0 : 150.0 + 30.0 - 2.0);
+    sim.drain();  // no later arrivals: the live schedule agrees
+    EXPECT_EQ(by_id(sim.completed()).at(3).turnaround(), answer);
+  }
+}
+
+#if PRIONN_OBS_ENABLED
+TEST(Snapshot, ReplayStepsStopAtTargetStart) {
+  // Integer times and exact estimates make each query's clone the live
+  // simulator itself, drained with no later arrivals. A copy of the live
+  // simulator therefore shows when the target starts and which
+  // completions come first: the replay steps at most once per distinct
+  // completion time up to that start, and not at all for a target that
+  // is already running.
+  auto& steps = prionn::obs::registry().counter(
+      "prionn_sched_snapshot_replay_steps_total");
+  prionn::util::Rng rng(11);
+  std::vector<sc::SimJob> jobs;
+  double t = 0.0;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    t += std::round(rng.exponential(0.05));
+    jobs.push_back(job(i, t, static_cast<std::uint32_t>(rng.uniform_int(1, 8)),
+                       std::round(rng.uniform(30.0, 900.0))));
+  }
+  const auto actual = [&](std::uint64_t id) { return jobs[id].runtime; };
+
+  sc::ClusterSimulator sim({8, true});
+  std::uint64_t replay_steps = 0;
+  for (const auto& j : jobs) {
+    sim.submit(j);
+    const std::uint64_t before = steps.value();
+    const double answer = sim.snapshot_turnaround(j.id, actual);
+    const std::uint64_t taken = steps.value() - before;
+
+    sc::ClusterSimulator future = sim;
+    future.drain();
+    const auto& done = future.completed();
+    const auto first_new =
+        done.begin() + static_cast<std::ptrdiff_t>(sim.completed().size());
+    const auto target = std::find_if(
+        first_new, done.end(),
+        [&](const sc::ScheduledJob& s) { return s.id == j.id; });
+    ASSERT_NE(target, done.end());
+    EXPECT_EQ(answer, target->turnaround()) << "job " << j.id;
+    std::set<double> ends_before_start;
+    for (auto it = first_new; it != done.end(); ++it)
+      if (it->end_time <= target->start_time)
+        ends_before_start.insert(it->end_time);
+    EXPECT_LE(taken, ends_before_start.size()) << "job " << j.id;
+    if (target->start_time <= sim.now()) {
+      EXPECT_EQ(taken, 0u) << "job " << j.id;
+    }
+    replay_steps += taken;
+  }
+  EXPECT_GT(replay_steps, 0u);  // the trace does queue jobs
+}
+#endif  // PRIONN_OBS_ENABLED
 
 TEST(Snapshot, BadPredictionsShiftTurnaround) {
   // If predictions say the running job is nearly done, the queued job's
@@ -550,5 +663,57 @@ TEST(Cluster, ReplaysGeneratedTrace) {
   for (const auto& s : sched) {
     EXPECT_GE(s.start_time, s.submit_time);
     EXPECT_GT(s.end_time, s.start_time);
+  }
+}
+
+TEST(IoAware, ZeroCapMatchesClusterSimulatorOnGeneratedTraces) {
+  // With io_cap = 0 the IO-aware scheduler is plain FCFS + EASY backfill,
+  // so it must produce ClusterSimulator's schedule exactly. Odd seeds run
+  // on a contended 64-node machine (node requests clamped, submit times
+  // compressed to offered load 0.9), even seeds on the default machine.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::uint32_t nodes = seed % 2 ? 64 : 1296;
+    prionn::trace::WorkloadGenerator gen(
+        prionn::trace::WorkloadOptions::cab(1200, seed));
+    const auto records = prionn::trace::completed_jobs(gen.generate());
+    double node_seconds = 0.0;
+    for (const auto& r : records)
+      node_seconds += std::clamp<std::uint32_t>(r.requested_nodes, 1, nodes) *
+                      r.runtime_seconds();
+    const double t0 = records.front().submit_time;
+    const double scale =
+        nodes == 1296 ? 1.0
+                      : node_seconds / (nodes * 0.9) /
+                            (records.back().submit_time - t0);
+    std::vector<sc::SimJob> jobs;
+    std::vector<sc::IoSimJob> io_jobs;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const auto& r = records[i];
+      jobs.push_back(job(i, (r.submit_time - t0) * scale,
+                         std::clamp<std::uint32_t>(r.requested_nodes, 1, nodes),
+                         r.runtime_seconds(), r.requested_minutes * 60.0));
+      sc::IoSimJob io;
+      io.base = jobs.back();
+      io.predicted_bandwidth = io.actual_bandwidth =
+          r.read_bandwidth() + r.write_bandwidth();
+      io_jobs.push_back(io);
+    }
+
+    sc::ClusterSimulator cluster({nodes, true});
+    const auto want = by_id(cluster.run(jobs));
+    sc::IoAwareOptions options;
+    options.total_nodes = nodes;
+    options.io_cap = 0.0;
+    sc::IoAwareSimulator io_aware(options);
+    const auto got = by_id(io_aware.run(io_jobs).schedule);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    std::size_t mismatched = 0;
+    for (const auto& [id, w] : want) {
+      const auto& g = got.at(id);
+      if (g.start_time != w.start_time || g.end_time != w.end_time ||
+          g.submit_time != w.submit_time)
+        ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0u) << "seed " << seed << " of " << want.size();
   }
 }
