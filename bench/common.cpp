@@ -4,9 +4,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <queue>
 #include <sstream>
 
+#include "core/online.hpp"
 #include "core/serve/serving_session.hpp"
 #include "ml/random_forest.hpp"
 #include "obs/obs.hpp"
@@ -184,49 +184,40 @@ std::vector<std::optional<double>> online_random_forest(
     std::size_t retrain_interval, std::size_t train_window) {
   std::vector<std::optional<double>> predictions(jobs.size());
 
-  // Completion pool, mirroring OnlineTrainer::run.
-  const auto later_end = [&jobs](std::size_t a, std::size_t b) {
-    return jobs[a].end_time > jobs[b].end_time;
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(later_end)>
-      in_flight(later_end);
-  std::vector<std::size_t> completed;
+  // The same completion feed and cadence as the NN replays.
+  core::OnlineProtocolOptions protocol;
+  protocol.retrain_interval = retrain_interval;
+  protocol.train_window = train_window;
+  protocol.min_initial_completions = retrain_interval;
+  core::CompletionFeed feed(jobs);
+  core::RetrainCadence cadence(protocol);
 
   trace::FeatureEncoder encoder;
   std::optional<ml::RandomForestRegressor> forest;
-  std::size_t since_train = 0;
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= jobs[i].submit_time) {
-      completed.push_back(in_flight.top());
-      in_flight.pop();
-    }
-    const bool due = forest ? since_train >= retrain_interval
-                            : completed.size() >= retrain_interval;
-    if (due && !completed.empty()) {
-      const std::size_t window = std::min(train_window, completed.size());
+    feed.advance(jobs[i].submit_time);
+    if (cadence.due(feed.completed().size())) {
+      cadence.start_attempt();
+      const auto window = feed.recent(train_window);
       ml::Dataset data(trace::ScriptFeatures::kCount);
-      data.reserve(window);
-      for (std::size_t k = completed.size() - window; k < completed.size();
-           ++k) {
-        const auto& job = jobs[completed[k]];
+      data.reserve(window.size());
+      for (const auto& job : window) {
         const auto row = encoder.encode(trace::parse_script(job.script));
         data.add_row(std::span<const double>(row.data(), row.size()),
                      target(job));
       }
       forest.emplace();
       forest->fit(data);
-      since_train = 0;
+      cadence.finish_attempt(true);
     }
     if (forest) {
       const auto row = encoder.encode(trace::parse_script(jobs[i].script));
       predictions[i] =
           forest->predict(std::span<const double>(row.data(), row.size()));
     }
-    ++since_train;
-    in_flight.push(i);
+    cadence.count_submission();
+    feed.submit(i);
   }
   return predictions;
 }

@@ -11,6 +11,8 @@ namespace prionn::core {
 namespace {
 
 void count_provenance(PredictionSource source) {
+  PRIONN_OBS_INC("prionn_predictions_total",
+                 "predictions served at submission time");
   switch (source) {
     case PredictionSource::kNeuralNet:
       PRIONN_OBS_INC("prionn_predictions_nn_total",
@@ -42,7 +44,7 @@ FallbackPredictor::FallbackPredictor(FallbackOptions options)
     : options_(options) {}
 
 void FallbackPredictor::fit_baseline(
-    const std::vector<trace::JobRecord>& window) {
+    std::span<const trace::JobRecord> window) {
   if (window.empty()) return;
   PRIONN_OBS_SPAN("fallback.fit_baseline");
   PRIONN_OBS_TIME("prionn_rf_refit_latency_ns",
@@ -67,27 +69,29 @@ void FallbackPredictor::fit_baseline(
   baseline_ready_ = true;
 }
 
+std::optional<ProvenancedPrediction> accept_nn_answer(
+    const ConfidentPrediction& answer, double min_confidence) {
+  if (answer.runtime_confidence < min_confidence ||
+      !std::isfinite(answer.value.runtime_minutes))
+    return std::nullopt;
+  count_provenance(PredictionSource::kNeuralNet);
+  return ProvenancedPrediction{answer.value, PredictionSource::kNeuralNet,
+                               answer.runtime_confidence};
+}
+
 ProvenancedPrediction FallbackPredictor::predict(
     PrionnPredictor* nn, const trace::JobRecord& job) {
   PRIONN_OBS_SPAN("serve.predict");
   PRIONN_OBS_TIME("prionn_predict_latency_ns",
                   "per-job prediction latency");
-  PRIONN_OBS_INC("prionn_predictions_total",
-                 "predictions served at submission time");
-  ProvenancedPrediction out;
   if (nn && nn->trained()) {
-    const auto confident =
+    const auto answer =
         nn->predict_batch(std::span<const std::string>(&job.script, 1))
             .front();
-    if (confident.runtime_confidence >= options_.min_confidence &&
-        std::isfinite(confident.value.runtime_minutes)) {
-      out.value = confident.value;
-      out.source = PredictionSource::kNeuralNet;
-      out.confidence = confident.runtime_confidence;
-      count_provenance(out.source);
-      return out;
-    }
+    if (auto served = accept_nn_answer(answer, options_.min_confidence))
+      return *served;
   }
+  ProvenancedPrediction out;
   if (baseline_ready_) {
     const auto row = encoder_.encode_const(trace::parse_script(job.script));
     const std::span<const double> x(row.data(), row.size());
@@ -95,13 +99,12 @@ ProvenancedPrediction FallbackPredictor::predict(
     out.value.bytes_read = std::max(0.0, read_rf_->predict(x));
     out.value.bytes_written = std::max(0.0, write_rf_->predict(x));
     out.source = PredictionSource::kRandomForest;
-    count_provenance(out.source);
-    return out;
+  } else {
+    // Last resort: what the scheduler used before PRIONN — the user's own
+    // requested runtime, no IO estimate.
+    out.value.runtime_minutes = std::max(1.0, job.requested_minutes);
+    out.source = PredictionSource::kRequested;
   }
-  // Last resort: what the scheduler used before PRIONN — the user's own
-  // requested runtime, no IO estimate.
-  out.value.runtime_minutes = std::max(1.0, job.requested_minutes);
-  out.source = PredictionSource::kRequested;
   count_provenance(out.source);
   return out;
 }

@@ -15,7 +15,8 @@
 
 #include <cstddef>
 #include <memory>
-#include <vector>
+#include <optional>
+#include <span>
 
 #include "core/predictor.hpp"
 #include "ml/random_forest.hpp"
@@ -34,6 +35,13 @@ struct ProvenancedPrediction {
   double confidence = 0.0;
 };
 
+/// The chain's NN leg: a model's answer is served when its runtime-head
+/// confidence reaches `min_confidence` and its runtime is finite. Counts
+/// the answer's provenance when it is served; nullopt passes the job on
+/// to the rest of the chain.
+std::optional<ProvenancedPrediction> accept_nn_answer(
+    const ConfidentPrediction& answer, double min_confidence);
+
 struct FallbackOptions {
   /// Minimum runtime-head softmax confidence for trusting the NN. The
   /// default accepts everything a trained model emits; raise it to shed
@@ -48,7 +56,7 @@ class FallbackPredictor {
 
   /// (Re)fit the RF baseline heads on a completion window. Skipped (the
   /// baseline stays in its previous state) when the window is empty.
-  void fit_baseline(const std::vector<trace::JobRecord>& window);
+  void fit_baseline(std::span<const trace::JobRecord> window);
 
   bool baseline_ready() const noexcept { return baseline_ready_; }
 

@@ -1,11 +1,11 @@
 #include "core/online.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <span>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
+#include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "util/timer.hpp"
 
@@ -19,6 +19,156 @@ void OnlineProtocolOptions::validate(const char* who) const {
   if (train_window == 0) fail("train_window must be > 0");
   if (embedding_corpus == 0) fail("embedding_corpus must be > 0");
 }
+
+std::size_t OnlineProtocolOptions::retrain_records(
+    const PrionnPredictor& model, std::size_t completions) const {
+  const std::size_t reach = model.needs_embedding()
+                                ? std::max(train_window, embedding_corpus)
+                                : train_window;
+  return std::min(reach, completions);
+}
+
+CompletionFeed::CompletionFeed(const std::vector<trace::JobRecord>& jobs)
+    : jobs_(jobs), in_flight_(LaterEnd{&jobs}) {
+  completed_.reserve(jobs.size());
+}
+
+std::size_t CompletionFeed::advance(double now) {
+  const std::size_t before = completed_.size();
+  while (!in_flight_.empty() && jobs_[in_flight_.top()].end_time <= now) {
+    completed_.push_back(in_flight_.top());
+    in_flight_.pop();
+  }
+  return completed_.size() - before;
+}
+
+std::vector<trace::JobRecord> CompletionFeed::recent(std::size_t n) const {
+  n = std::min(n, completed_.size());
+  std::vector<trace::JobRecord> out;
+  out.reserve(n);
+  for (std::size_t k = completed_.size() - n; k < completed_.size(); ++k)
+    out.push_back(jobs_[completed_[k]]);
+  return out;
+}
+
+RetrainCadence::RetrainCadence(const OnlineProtocolOptions& protocol,
+                               std::size_t max_consecutive_rejections)
+    : retrain_interval_(protocol.retrain_interval),
+      min_initial_completions_(protocol.min_initial_completions),
+      max_consecutive_rejections_(max_consecutive_rejections) {}
+
+void RetrainCadence::resume(bool trained,
+                            std::size_t submissions_since_train) noexcept {
+  trained_ = trained;
+  since_train_ = submissions_since_train;
+}
+
+bool RetrainCadence::due(std::size_t completions) const noexcept {
+  if (benched_ || completions == 0) return false;
+  if (!trained_)
+    return completions >= min_initial_completions_ &&
+           (rejected_ == 0 || since_train_ >= retrain_interval_);
+  return since_train_ >= retrain_interval_;
+}
+
+std::size_t RetrainCadence::start_attempt() noexcept {
+  since_train_ = 0;
+  return accepted_ + rejected_;
+}
+
+void RetrainCadence::finish_attempt(bool accepted) noexcept {
+  if (accepted) {
+    ++accepted_;
+    consecutive_rejections_ = 0;
+    trained_ = true;
+    return;
+  }
+  ++rejected_;
+  if (benched_ || ++consecutive_rejections_ < max_consecutive_rejections_)
+    return;
+  benched_ = true;
+  PRIONN_OBS_INC("prionn_nn_benched_total",
+                 "times the neural net was benched for the run");
+}
+
+void fit_missing_embedding(PrionnPredictor& model,
+                           std::span<const trace::JobRecord> recent,
+                           const OnlineProtocolOptions& protocol) {
+  if (!model.needs_embedding()) return;
+  const auto corpus_jobs =
+      recent.last(std::min(protocol.embedding_corpus, recent.size()));
+  std::vector<std::string> corpus;
+  corpus.reserve(corpus_jobs.size());
+  for (const auto& job : corpus_jobs) corpus.push_back(job.script);
+  model.fit_embedding(corpus);
+}
+
+std::span<const trace::JobRecord> training_window(
+    std::span<const trace::JobRecord> recent,
+    const OnlineProtocolOptions& protocol) {
+  return recent.last(std::min(protocol.train_window, recent.size()));
+}
+
+obs::RetrainEvent attempt_retrain(PrionnPredictor& model,
+                                  std::span<const trace::JobRecord> recent,
+                                  const OnlineProtocolOptions& protocol,
+                                  const RetrainGuards& guards) {
+  obs::RetrainEvent event;
+  std::span<const trace::JobRecord> train_set =
+      training_window(recent, protocol);
+  std::span<const trace::JobRecord> holdback;
+  if (guards.min_holdback_accuracy > 0.0 &&
+      train_set.size() > guards.holdback_size) {
+    holdback = train_set.last(guards.holdback_size);
+    train_set = train_set.first(train_set.size() - guards.holdback_size);
+  }
+  event.window_size = train_set.size() + holdback.size();
+  event.holdback_size = holdback.size();
+
+  try {
+    fit_missing_embedding(model, recent, protocol);
+    const auto report = model.train(train_set);
+    event.loss = {report.runtime_loss, report.read_loss, report.write_loss};
+    event.accepted = std::isfinite(report.runtime_loss) &&
+                     std::isfinite(report.read_loss) &&
+                     std::isfinite(report.write_loss);
+    if (event.accepted && !holdback.empty()) {
+      PRIONN_OBS_SPAN("serve.holdback_eval");
+      std::vector<std::string> scripts;
+      scripts.reserve(holdback.size());
+      for (const auto& h : holdback) scripts.push_back(h.script);
+      // One batched forward over the whole holdback set — the batch path
+      // is per-sample identical to single-item predicts.
+      const auto predicted = model.predict_batch(scripts);
+      const RuntimeBins& bins = model.runtime_bins();
+      std::size_t correct = 0;
+      for (std::size_t h = 0; h < holdback.size(); ++h)
+        if (bins.label_of(predicted[h].value.runtime_minutes) ==
+            bins.label_of(holdback[h].runtime_minutes))
+          ++correct;
+      event.holdback_accuracy = static_cast<double>(correct) /
+                                static_cast<double>(holdback.size());
+      event.accepted =
+          event.holdback_accuracy >= guards.min_holdback_accuracy;
+    }
+  } catch (const nn::TrainingDiverged&) {
+    event.accepted = false;
+  }
+
+  event.rollback = !event.accepted;
+  if (event.accepted) {
+    PRIONN_OBS_INC("prionn_retrains_total",
+                   "training events of the online protocol");
+  } else {
+    PRIONN_OBS_INC("prionn_retrains_rejected_total",
+                   "retrain attempts rejected by the guards");
+    PRIONN_OBS_INC("prionn_rollbacks_total",
+                   "rejected attempts whose model was restored or "
+                   "discarded (the pre-attempt model keeps serving)");
+  }
+  return event;
+}
+
 
 std::vector<std::size_t> OnlineResult::predicted_indices() const {
   std::vector<std::size_t> out;
@@ -35,80 +185,35 @@ OnlineTrainer::OnlineTrainer(OnlineOptions options)
 OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
   OnlineResult result;
   result.predictions.assign(jobs.size(), std::nullopt);
-
-  // Jobs complete asynchronously: a min-heap on end_time feeds the pool of
-  // completed jobs as the submission clock advances.
-  const auto later_end = [&jobs](std::size_t a, std::size_t b) {
-    return jobs[a].end_time > jobs[b].end_time;
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(later_end)>
-      in_flight(later_end);
-  std::vector<std::size_t> completed;  // indices, in completion order
-  completed.reserve(jobs.size());
-
-  bool embedding_ready =
-      options_.predictor.image.transform != Transform::kWord2Vec;
-  std::size_t submissions_since_train = 0;
+  CompletionFeed feed(jobs);
+  RetrainCadence cadence(options_);
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& job = jobs[i];
-    // Advance the completion pool to this submission instant.
-    while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= job.submit_time) {
-      completed.push_back(in_flight.top());
-      in_flight.pop();
-    }
+    feed.advance(job.submit_time);
 
-    // Retrain every `retrain_interval` submissions once enough history
-    // exists (and immediately for the very first training event).
-    const bool due = !predictor_.trained()
-                         ? completed.size() >= options_.min_initial_completions
-                         : submissions_since_train >= options_.retrain_interval;
-    if (due && !completed.empty()) {
-      const std::size_t window =
-          std::min(options_.train_window, completed.size());
-      std::vector<trace::JobRecord> recent;
-      recent.reserve(window);
-      for (std::size_t k = completed.size() - window; k < completed.size();
-           ++k)
-        recent.push_back(jobs[completed[k]]);
-
+    if (cadence.due(feed.completed().size())) {
+      cadence.start_attempt();
       if (options_.reinitialize_on_retrain && predictor_.trained()) {
         // Cold-start ablation: throw the learned weights away but keep the
         // corpus-trained embedding, which the paper also fits once.
-        embed::CharEmbedding embedding;
-        const bool keep_embedding =
-            options_.predictor.image.transform == Transform::kWord2Vec;
-        if (keep_embedding) embedding = predictor_.mapper().embedding();
+        auto embedding = predictor_.mapper().embedding();
         predictor_ = PrionnPredictor(options_.predictor);
-        if (keep_embedding) predictor_.set_embedding(std::move(embedding));
+        predictor_.set_embedding(std::move(embedding));
       }
-
-      if (!embedding_ready) {
-        std::vector<std::string> corpus;
-        const std::size_t corpus_size =
-            std::min(options_.embedding_corpus, completed.size());
-        corpus.reserve(corpus_size);
-        for (std::size_t k = completed.size() - corpus_size;
-             k < completed.size(); ++k)
-          corpus.push_back(jobs[completed[k]].script);
-        const std::uint64_t t0 = util::Timer::now_ns();
-        predictor_.fit_embedding(corpus);
-        result.train_ns += util::Timer::now_ns() - t0;
-        embedding_ready = true;
-      }
-
+      const auto recent = feed.recent(
+          options_.retrain_records(predictor_, feed.completed().size()));
       {
         PRIONN_OBS_SPAN("online.retrain");
         const std::uint64_t t0 = util::Timer::now_ns();
-        predictor_.train(recent);
+        fit_missing_embedding(predictor_, recent, options_);
+        predictor_.train(training_window(recent, options_));
         result.train_ns += util::Timer::now_ns() - t0;
       }
       PRIONN_OBS_INC("prionn_retrains_total",
                      "training events of the online protocol");
+      cadence.finish_attempt(true);
       ++result.training_events;
-      submissions_since_train = 0;
     }
 
     if (predictor_.trained()) {
@@ -124,8 +229,8 @@ OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
       PRIONN_OBS_OBSERVE_NS("prionn_predict_latency_ns",
                             "per-job prediction latency", elapsed_ns);
     }
-    ++submissions_since_train;
-    in_flight.push(i);
+    cadence.count_submission();
+    feed.submit(i);
   }
   result.train_seconds = static_cast<double>(result.train_ns) / 1e9;
   result.predict_seconds = static_cast<double>(result.predict_ns) / 1e9;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 namespace prionn::core {
@@ -97,13 +98,13 @@ tensor::Tensor PrionnPredictor::map_sample(std::string_view script) const {
 }
 
 PrionnPredictor::TrainReport PrionnPredictor::train(
-    const std::vector<trace::JobRecord>& completed_jobs) {
+    std::span<const trace::JobRecord> completed_jobs) {
   PRIONN_OBS_SPAN("train.fit");
   PRIONN_OBS_TIME("prionn_train_latency_ns",
                   "wall time of one train() call (all heads)");
   if (completed_jobs.empty())
     throw std::invalid_argument("PrionnPredictor::train: no jobs");
-  if (options_.image.transform == Transform::kWord2Vec && !mapper_)
+  if (needs_embedding())
     throw std::logic_error(
         "PrionnPredictor::train: call fit_embedding() first");
 
@@ -331,6 +332,17 @@ PrionnPredictor PrionnPredictor::load(std::istream& is) {
     p.write_opt_.load(is, p.write_net_.parameters());
   }
   return p;
+}
+
+std::string PrionnPredictor::snapshot() const {
+  std::ostringstream os(std::ios::binary);
+  save(os);
+  return std::move(os).str();
+}
+
+PrionnPredictor PrionnPredictor::from_snapshot(const std::string& bytes) {
+  std::istringstream is(bytes, std::ios::binary);
+  return load(is);
 }
 
 std::vector<JobPrediction> PrionnPredictor::predict(

@@ -85,6 +85,12 @@ class PrionnPredictor {
   /// the first train() when the transform is kWord2Vec (no-op otherwise).
   void fit_embedding(const std::vector<std::string>& scripts);
 
+  /// True while train() would refuse to run for want of an embedding:
+  /// the transform is word2vec and no embedding is fitted or installed.
+  bool needs_embedding() const noexcept {
+    return options_.image.transform == Transform::kWord2Vec && !mapper_;
+  }
+
   /// Install an already-trained embedding (checkpoint restore, or reusing
   /// the corpus embedding across the cold-retrain ablation).
   void set_embedding(embed::CharEmbedding embedding);
@@ -104,7 +110,7 @@ class PrionnPredictor {
   /// norm guard trips; the weights touched so far may be partially
   /// updated, so callers that need atomicity snapshot first
   /// (core/resilient_online does).
-  TrainReport train(const std::vector<trace::JobRecord>& completed_jobs);
+  TrainReport train(std::span<const trace::JobRecord> completed_jobs);
 
   bool trained() const noexcept { return trained_; }
   std::size_t training_events() const noexcept { return training_events_; }
@@ -146,6 +152,10 @@ class PrionnPredictor {
   /// identical bytes.
   void save(std::ostream& os) const;
   static PrionnPredictor load(std::istream& is);
+  /// The same bytes in memory: the snapshot a rejected retrain restores,
+  /// or a shadow model is decoded from.
+  std::string snapshot() const;
+  static PrionnPredictor from_snapshot(const std::string& bytes);
 
  private:
   tensor::Tensor map_batch(std::span<const std::string> scripts) const;

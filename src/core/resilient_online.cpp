@@ -1,12 +1,7 @@
 #include "core/resilient_online.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <queue>
-#include <sstream>
-#include <stdexcept>
 
-#include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "util/fault.hpp"
 #include "util/timer.hpp"
@@ -31,36 +26,9 @@ ResilientResult ResilientOnlineTrainer::run(
     const std::vector<trace::JobRecord>& jobs) {
   ResilientResult result;
   result.predictions.assign(jobs.size(), std::nullopt);
-
-  const auto later_end = [&jobs](std::size_t a, std::size_t b) {
-    return jobs[a].end_time > jobs[b].end_time;
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(later_end)>
-      in_flight(later_end);
-  std::vector<std::size_t> completed;
-  completed.reserve(jobs.size());
-  const auto drain_until = [&](double submit_time) {
-    while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= submit_time) {
-      completed.push_back(in_flight.top());
-      in_flight.pop();
-    }
-  };
-  const auto window_jobs = [&]() {
-    const std::size_t window =
-        std::min(options_.online.train_window, completed.size());
-    std::vector<trace::JobRecord> recent;
-    recent.reserve(window);
-    for (std::size_t k = completed.size() - window; k < completed.size();
-         ++k)
-      recent.push_back(jobs[completed[k]]);
-    return recent;
-  };
-
-  bool embedding_ready =
-      options_.online.predictor.image.transform != Transform::kWord2Vec;
-  std::size_t submissions_since_train = 0;
+  const OnlineProtocolOptions& protocol = options_.online;
+  CompletionFeed feed(jobs);
+  RetrainCadence cadence(protocol, options_.guards.max_consecutive_rejections);
   std::size_t start = 0;
 
   if (!options_.checkpoint_path.empty()) {
@@ -72,9 +40,8 @@ ResilientResult ResilientOnlineTrainer::run(
       const auto& st = resumed.checkpoint->state;
       start = std::min<std::size_t>(
           static_cast<std::size_t>(st.next_index), jobs.size());
-      submissions_since_train =
-          static_cast<std::size_t>(st.submissions_since_train);
-      embedding_ready = st.embedding_ready;
+      cadence.resume(predictor_.trained(),
+                     static_cast<std::size_t>(st.submissions_since_train));
     }
   }
   result.resume_index = start;
@@ -82,206 +49,100 @@ ResilientResult ResilientOnlineTrainer::run(
   // Replay the completion bookkeeping for everything the previous
   // incarnation already processed: pure heap push/pop, no model work.
   for (std::size_t i = 0; i < start; ++i) {
-    drain_until(jobs[i].submit_time);
-    in_flight.push(i);
+    feed.advance(jobs[i].submit_time);
+    feed.submit(i);
   }
   // The fallback baseline is not part of the checkpoint; it refits from
   // the same completion window the checkpointed training event used,
   // which is only fully drained at the top of iteration `start`.
   bool baseline_refit_pending = start > 0 && predictor_.trained();
 
-  bool nn_benched = false;
-  std::size_t consecutive_rejections = 0;
-
   // Telemetry bookkeeping: one structured event per retrain attempt and
   // one per prediction window (the submissions between retrain
   // boundaries), so the event log reconstructs the serving history.
-  std::uint64_t retrain_attempts = 0;
   std::uint64_t checkpoint_generation = 0;
   std::uint64_t window_first_job = start;
-  std::size_t window_predictions = 0;
   std::array<std::size_t, 3> window_sources{};
   const auto flush_window = [&](std::size_t next_first) {
-    if (window_predictions > 0) {
-      obs::WindowEvent w;
-      w.window_id = retrain_attempts;
+    obs::WindowEvent w;
+    w.predictions = window_sources[0] + window_sources[1] + window_sources[2];
+    if (w.predictions > 0) {
+      w.window_id = cadence.accepted() + cadence.rejected();
       w.first_job_index = window_first_job;
-      w.predictions = window_predictions;
       w.from_neural_net = window_sources[0];
       w.from_random_forest = window_sources[1];
       w.from_requested = window_sources[2];
       w.checkpoint_generation = checkpoint_generation;
       obs::emit(w);
     }
-    window_predictions = 0;
     window_sources = {};
     window_first_job = next_first;
   };
 
   for (std::size_t i = start; i < jobs.size(); ++i) {
     const auto& job = jobs[i];
-    drain_until(job.submit_time);
+    feed.advance(job.submit_time);
 
-    if (baseline_refit_pending && !completed.empty()) {
-      fallback_.fit_baseline(window_jobs());
+    if (baseline_refit_pending && !feed.completed().empty()) {
+      fallback_.fit_baseline(feed.recent(protocol.train_window));
       baseline_refit_pending = false;
     }
 
-    // Identical cadence to OnlineTrainer, except a rejected first event
-    // also waits out a full interval before retrying.
-    bool due;
-    if (!predictor_.trained()) {
-      due = completed.size() >= options_.online.min_initial_completions &&
-            (result.rejected_retrains == 0 ||
-             submissions_since_train >= options_.online.retrain_interval);
-    } else {
-      due = submissions_since_train >= options_.online.retrain_interval;
-    }
-    if (due && !nn_benched && !completed.empty()) {
+    if (cadence.due(feed.completed().size())) {
       flush_window(i);
       PRIONN_OBS_SPAN("serve.retrain");
       util::Timer retrain_timer;
-      const std::vector<trace::JobRecord> recent = window_jobs();
+      const std::size_t attempt_id = cadence.start_attempt();
+      const auto recent = feed.recent(
+          protocol.retrain_records(predictor_, feed.completed().size()));
 
-      if (!embedding_ready) {
-        std::vector<std::string> corpus;
-        const std::size_t corpus_size =
-            std::min(options_.online.embedding_corpus, completed.size());
-        corpus.reserve(corpus_size);
-        for (std::size_t k = completed.size() - corpus_size;
-             k < completed.size(); ++k)
-          corpus.push_back(jobs[completed[k]].script);
-        predictor_.fit_embedding(corpus);
-        embedding_ready = true;
-      }
-
-      // Hold back a validation batch when the accuracy guard is on.
-      std::vector<trace::JobRecord> train_set = recent;
-      std::vector<trace::JobRecord> holdback;
-      if (options_.min_holdback_accuracy > 0.0 &&
-          recent.size() > options_.holdback_size) {
-        holdback.assign(recent.end() - options_.holdback_size,
-                        recent.end());
-        train_set.assign(recent.begin(),
-                         recent.end() - options_.holdback_size);
-      }
-
-      // Snapshot before touching the weights: train() is not atomic
-      // under divergence, so rejection restores these exact bytes.
+      // Snapshot before touching the model: train() is not atomic under
+      // divergence, so rejection restores these exact bytes (the
+      // embedding the attempt may fit included).
       std::string snapshot;
       {
         PRIONN_OBS_SPAN("serve.snapshot");
-        std::ostringstream snap(std::ios::binary);
-        predictor_.save(snap);
-        snapshot = std::move(snap).str();
+        snapshot = predictor_.snapshot();
       }
-
-      obs::RetrainEvent retrain_event;
-      retrain_event.window_id = retrain_attempts;
-      retrain_event.job_index = i;
-      retrain_event.window_size = recent.size();
-      retrain_event.holdback_size = holdback.size();
-
-      bool accepted = true;
-      try {
-        const auto report = predictor_.train(train_set);
-        retrain_event.loss = {report.runtime_loss, report.read_loss,
-                              report.write_loss};
-        if (!std::isfinite(report.runtime_loss) ||
-            !std::isfinite(report.read_loss) ||
-            !std::isfinite(report.write_loss)) {
-          accepted = false;
-        } else if (!holdback.empty()) {
-          PRIONN_OBS_SPAN("serve.holdback_eval");
-          std::vector<std::string> holdback_scripts;
-          holdback_scripts.reserve(holdback.size());
-          for (const auto& h : holdback)
-            holdback_scripts.push_back(h.script);
-          // One batched forward over the whole holdback set — the batch
-          // path is per-sample identical to single-item predicts.
-          const auto predicted = predictor_.predict_batch(holdback_scripts);
-          std::size_t correct = 0;
-          for (std::size_t h = 0; h < holdback.size(); ++h) {
-            if (predictor_.runtime_bins().label_of(
-                    predicted[h].value.runtime_minutes) ==
-                predictor_.runtime_bins().label_of(
-                    holdback[h].runtime_minutes))
-              ++correct;
-          }
-          const double accuracy =
-              static_cast<double>(correct) /
-              static_cast<double>(holdback.size());
-          retrain_event.holdback_accuracy = accuracy;
-          accepted = accuracy >= options_.min_holdback_accuracy;
-        }
-      } catch (const nn::TrainingDiverged&) {
-        accepted = false;
+      obs::RetrainEvent event =
+          attempt_retrain(predictor_, recent, protocol, options_.guards);
+      if (!event.accepted) {
+        PRIONN_OBS_SPAN("serve.rollback");
+        predictor_ = PrionnPredictor::from_snapshot(snapshot);
       }
+      cadence.finish_attempt(event.accepted);
+      result.training_events = cadence.accepted();
+      result.rejected_retrains = result.rollbacks = cadence.rejected();
+      result.nn_benched = cadence.benched();
 
-      if (accepted) {
-        consecutive_rejections = 0;
-        ++result.training_events;
-        submissions_since_train = 0;
-        PRIONN_OBS_INC("prionn_retrains_total",
-                       "training events of the online protocol");
-        fallback_.fit_baseline(recent);
+      if (event.accepted) {
+        fallback_.fit_baseline(training_window(recent, protocol));
         if (!options_.checkpoint_path.empty()) {
-          OnlineCheckpointState st;
+          OnlineCheckpointState st;  // 0 submissions since this event
           st.next_index = i;
-          st.submissions_since_train = 0;
-          st.embedding_ready = embedding_ready;
+          st.embedding_ready = !predictor_.needs_embedding();
           write_checkpoint_file(options_.checkpoint_path, predictor_, st);
           ++checkpoint_generation;
-          if (util::fault::fire(util::fault::FaultPoint::kCrash)) {
-            retrain_event.accepted = true;
-            retrain_event.checkpoint_generation = checkpoint_generation;
-            retrain_event.duration_ms =
-                static_cast<double>(retrain_timer.elapsed_ns()) / 1e6;
-            obs::emit(retrain_event);
-            ++retrain_attempts;
-            result.crashed = true;
-            result.crash_index = i;
-            return result;
-          }
-        }
-      } else {
-        {
-          PRIONN_OBS_SPAN("serve.rollback");
-          std::istringstream in(snapshot, std::ios::binary);
-          predictor_ = PrionnPredictor::load(in);
-        }
-        ++result.rejected_retrains;
-        ++result.rollbacks;
-        PRIONN_OBS_INC("prionn_retrains_rejected_total",
-                       "retrain attempts rejected by the guards");
-        PRIONN_OBS_INC("prionn_rollbacks_total",
-                       "weight rollbacks to the pre-retrain snapshot");
-        submissions_since_train = 0;  // skip this event, retry next interval
-        if (++consecutive_rejections >=
-            options_.max_consecutive_rejections) {
-          nn_benched = true;
-          result.nn_benched = true;
-          PRIONN_OBS_INC("prionn_nn_benched_total",
-                         "times the neural net was benched for the run");
+          result.crashed = util::fault::fire(util::fault::FaultPoint::kCrash);
+          result.crash_index = result.crashed ? i : 0;
         }
       }
-      retrain_event.accepted = accepted;
-      retrain_event.rollback = !accepted;
-      retrain_event.benched = nn_benched;
-      retrain_event.checkpoint_generation = checkpoint_generation;
-      retrain_event.duration_ms =
+      event.window_id = attempt_id;
+      event.job_index = i;
+      event.benched = cadence.benched();
+      event.checkpoint_generation = checkpoint_generation;
+      event.duration_ms =
           static_cast<double>(retrain_timer.elapsed_ns()) / 1e6;
-      obs::emit(retrain_event);
-      ++retrain_attempts;
+      obs::emit(event);
+      if (result.crashed) return result;
     }
 
     result.predictions[i] =
-        fallback_.predict(nn_benched ? nullptr : &predictor_, job);
-    ++window_predictions;
+        fallback_.predict(cadence.benched() ? nullptr : &predictor_, job);
     ++window_sources[static_cast<std::size_t>(
         result.predictions[i]->source)];
-    ++submissions_since_train;
-    in_flight.push(i);
+    cadence.count_submission();
+    feed.submit(i);
   }
   flush_window(jobs.size());
   return result;

@@ -7,9 +7,10 @@
 //     prediction-for-prediction equivalence to an uninterrupted run.
 //   - Divergence rollback: a retrain that throws nn::TrainingDiverged,
 //     reports a non-finite loss, or collapses on a held-back batch is
-//     rejected — the predictor is restored bit-exactly from an in-memory
-//     snapshot taken before the attempt, the event is skipped, and the
-//     next interval retries. Bounded: after `max_consecutive_rejections`
+//     rejected (core/online's attempt_retrain) — the predictor, embedding
+//     included, is restored bit-exactly from an in-memory snapshot taken
+//     before the attempt, the event is skipped, and the next interval
+//     retries. Bounded: after `max_consecutive_rejections`
 //     back-to-back rejections the NN is benched for the rest of the run
 //     and serving continues on the fallback chain.
 //   - Graceful degradation: every submission gets a prediction with
@@ -42,16 +43,7 @@ struct ResilientOptions {
   /// off the in-memory snapshot).
   std::string checkpoint_path;
 
-  /// Divergence guard 3 of 3: after a retrain, runtime-bin top-1 accuracy
-  /// on a batch held back from the training window must reach this
-  /// fraction, or the event is rejected. 0 disables the check (and the
-  /// window is then never split).
-  double min_holdback_accuracy = 0.0;
-  std::size_t holdback_size = 32;
-
-  /// Back-to-back rejected retrains before the NN is benched for the
-  /// remainder of the run.
-  std::size_t max_consecutive_rejections = 3;
+  RetrainGuards guards;
 };
 
 struct ResilientResult {

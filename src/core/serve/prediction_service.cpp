@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
 #include "util/thread_pool.hpp"
@@ -29,20 +27,14 @@ void ServiceOptions::validate() const {
 
 PredictionService::PredictionService(ServiceOptions options)
     : options_(std::move(options)),
+      cadence_(options_.protocol, options_.guards.max_consecutive_rejections),
       fallback_(options_.fallback),
       cache_(options_.encoding_cache_capacity) {
   options_.validate();
   {
     util::ScopedLock ml(model_mutex_);
     live_ = std::make_unique<PrionnPredictor>(options_.predictor);
-    std::ostringstream snap(std::ios::binary);
-    live_->save(snap);
-    live_snapshot_ = std::move(snap).str();
-  }
-  {
-    util::ScopedLock wl(window_mutex_);
-    embedding_ready_ =
-        options_.predictor.image.transform != Transform::kWord2Vec;
+    live_snapshot_ = live_->snapshot();
   }
   batcher_ = std::thread([this] { batcher_loop(); });
   if (options_.background_retrain)
@@ -112,9 +104,9 @@ std::future<ProvenancedPrediction> PredictionService::submit(
   // §2.3 cadence: every submission counts, shed or not.
   {
     util::ScopedLock wl(window_mutex_);
-    ++submissions_since_train_;
+    cadence_.count_submission();
     if (options_.background_retrain && !retrain_requested_ &&
-        !nn_benched_.load(std::memory_order_relaxed) && retrain_due()) {
+        cadence_.due(total_completions_)) {
       retrain_requested_ = true;
       trainer_cv_.notify_one();
     }
@@ -171,7 +163,12 @@ bool PredictionService::retrain_now() {
 
 std::size_t PredictionService::training_events() const {
   util::ScopedLock wl(window_mutex_);
-  return training_events_;
+  return cadence_.accepted();
+}
+
+bool PredictionService::retrain_due() const {
+  util::ScopedLock wl(window_mutex_);
+  return cadence_.due(total_completions_);
 }
 
 ServiceStats PredictionService::stats() const {
@@ -183,7 +180,6 @@ ServiceStats PredictionService::stats() const {
   s.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
   s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  s.swaps = swaps_.load(std::memory_order_relaxed);
   s.nn_benched = nn_benched_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < s.source_counts.size(); ++i)
     s.source_counts[i] = source_counts_[i].load(std::memory_order_relaxed);
@@ -193,21 +189,10 @@ ServiceStats PredictionService::stats() const {
   }
   {
     util::ScopedLock wl(window_mutex_);
-    s.rejected_retrains = rejected_retrains_;
+    s.swaps = cadence_.accepted();
+    s.rejected_retrains = cadence_.rejected();
   }
   return s;
-}
-
-bool PredictionService::retrain_due() const {
-  if (window_.empty()) return false;
-  if (training_events_ == 0) {
-    // A rejected first attempt also waits out a full interval before the
-    // retry (same gating as ResilientOnlineTrainer).
-    return total_completions_ >= options_.protocol.min_initial_completions &&
-           (rejected_retrains_ == 0 ||
-            submissions_since_train_ >= options_.protocol.retrain_interval);
-  }
-  return submissions_since_train_ >= options_.protocol.retrain_interval;
 }
 
 void PredictionService::batcher_loop() {
@@ -325,29 +310,15 @@ void PredictionService::serve_batch(std::vector<Request>& batch) {
   // Fulfil outside the model lock: confidence-gated NN answers directly,
   // everything else walks the fallback chain.
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    ProvenancedPrediction prediction;
-    bool from_nn = false;
-    if (use_nn) {
-      const ConfidentPrediction& c = nn_out[i];
-      if (c.runtime_confidence >= options_.fallback.min_confidence &&
-          std::isfinite(c.value.runtime_minutes)) {
-        prediction.value = c.value;
-        prediction.source = PredictionSource::kNeuralNet;
-        prediction.confidence = c.runtime_confidence;
-        from_nn = true;
-        // Keep the provenance counters consistent with the sequential
-        // serving path (FallbackPredictor::predict bumps these itself).
-        PRIONN_OBS_INC("prionn_predictions_total",
-                       "predictions served at submission time");
-        PRIONN_OBS_INC("prionn_predictions_nn_total",
-                       "predictions served by the neural net");
-      }
-    }
-    if (!from_nn) {
+    std::optional<ProvenancedPrediction> prediction;
+    if (use_nn)
+      prediction =
+          accept_nn_answer(nn_out[i], options_.fallback.min_confidence);
+    if (!prediction) {
       util::ScopedLock fl(fallback_mutex_);
       prediction = fallback_.predict(nullptr, batch[i].job);
     }
-    fulfill(batch[i], prediction);
+    fulfill(batch[i], *prediction);
   }
 }
 
@@ -389,12 +360,10 @@ bool PredictionService::run_retrain(bool claimed) {
 
   // Claim the trainer slot and snapshot the training window. Submissions
   // arriving while we train count toward the *next* interval. Only
-  // pointers to the newest records are copied under the lock.
+  // pointers to the records are copied under the lock.
   std::vector<std::shared_ptr<const trace::JobRecord>> held;
-  std::size_t window = 0;
-  std::size_t corpus_size = 0;
-  bool fit_embedding = false;
-  std::uint64_t attempt = 0;
+  std::size_t attempt_id = 0;
+  std::uint64_t job_index = 0;
   {
     util::ScopedLock wl(window_mutex_);
     if (!claimed) {  // serialize concurrent retrain_now() callers
@@ -406,32 +375,11 @@ bool PredictionService::run_retrain(bool claimed) {
       trainer_done_cv_.notify_all();
       return false;
     }
-    submissions_since_train_ = 0;
-    attempt = static_cast<std::uint64_t>(training_events_ +
-                                         rejected_retrains_);
-    window = std::min(options_.protocol.train_window, window_.size());
-    if (!embedding_ready_) {
-      fit_embedding = true;
-      corpus_size =
-          std::min(options_.protocol.embedding_corpus, window_.size());
-    }
-    held.assign(window_.end() - static_cast<std::ptrdiff_t>(
-                                    std::max(window, corpus_size)),
-                window_.end());
+    attempt_id = cadence_.start_attempt();
+    job_index = submitted_.load(std::memory_order_relaxed);
+    held.assign(window_.begin(), window_.end());
   }
   retrain_active_.store(true, std::memory_order_relaxed);
-
-  std::vector<trace::JobRecord> recent;
-  recent.reserve(window);
-  for (auto it = held.end() - static_cast<std::ptrdiff_t>(window);
-       it != held.end(); ++it)
-    recent.push_back(**it);
-  std::vector<std::string> corpus;
-  corpus.reserve(corpus_size);
-  for (auto it = held.end() - static_cast<std::ptrdiff_t>(corpus_size);
-       it != held.end(); ++it)
-    corpus.push_back((*it)->script);
-  held.clear();
 
   // Decode the shadow from the serialised live model; no lock is taken.
   // save/load is bit-exact (weights, Adam moments, dropout RNG), so
@@ -440,74 +388,29 @@ bool PredictionService::run_retrain(bool claimed) {
   std::unique_ptr<PrionnPredictor> shadow;
   {
     PRIONN_OBS_SPAN("serve.snapshot");
-    std::istringstream snap_in(live_snapshot_, std::ios::binary);
     shadow = std::make_unique<PrionnPredictor>(
-        PrionnPredictor::load(snap_in));
+        PrionnPredictor::from_snapshot(live_snapshot_));
   }
+  const bool fits_embedding = shadow->needs_embedding();
+  std::vector<trace::JobRecord> recent;
+  const std::size_t reach =
+      options_.protocol.retrain_records(*shadow, held.size());
+  recent.reserve(reach);
+  for (auto it = held.end() - static_cast<std::ptrdiff_t>(reach);
+       it != held.end(); ++it)
+    recent.push_back(**it);
+  held.clear();
 
-  // Guards, as in ResilientOnlineTrainer: hold back a validation batch
-  // when the accuracy floor is on.
-  std::vector<trace::JobRecord> train_set = recent;
-  std::vector<trace::JobRecord> holdback;
-  if (options_.min_holdback_accuracy > 0.0 &&
-      recent.size() > options_.holdback_size) {
-    holdback.assign(recent.end() -
-                        static_cast<std::ptrdiff_t>(options_.holdback_size),
-                    recent.end());
-    train_set.assign(recent.begin(),
-                     recent.end() - static_cast<std::ptrdiff_t>(
-                                        options_.holdback_size));
-  }
-
-  obs::RetrainEvent event;
-  event.window_id = attempt;
-  event.window_size = recent.size();
-  event.holdback_size = holdback.size();
-
-  bool accepted = true;
-  try {
-    if (fit_embedding) shadow->fit_embedding(corpus);
-    {
-      PRIONN_OBS_SPAN("serve.shadow_train");
-      const auto report = shadow->train(train_set);
-      event.loss = {report.runtime_loss, report.read_loss,
-                    report.write_loss};
-      if (!std::isfinite(report.runtime_loss) ||
-          !std::isfinite(report.read_loss) ||
-          !std::isfinite(report.write_loss))
-        accepted = false;
-    }
-    if (accepted && !holdback.empty()) {
-      PRIONN_OBS_SPAN("serve.holdback_eval");
-      std::vector<std::string> holdback_scripts;
-      holdback_scripts.reserve(holdback.size());
-      for (const auto& h : holdback) holdback_scripts.push_back(h.script);
-      const auto predicted = shadow->predict_batch(holdback_scripts);
-      std::size_t correct = 0;
-      for (std::size_t h = 0; h < holdback.size(); ++h) {
-        if (shadow->runtime_bins().label_of(
-                predicted[h].value.runtime_minutes) ==
-            shadow->runtime_bins().label_of(holdback[h].runtime_minutes))
-          ++correct;
-      }
-      const double accuracy = static_cast<double>(correct) /
-                              static_cast<double>(holdback.size());
-      event.holdback_accuracy = accuracy;
-      accepted = accuracy >= options_.min_holdback_accuracy;
-    }
-  } catch (const nn::TrainingDiverged&) {
-    accepted = false;
-  }
-
-  bool benched = false;
-  if (accepted) {
+  obs::RetrainEvent event =
+      attempt_retrain(*shadow, recent, options_.protocol, options_.guards);
+  if (event.accepted) {
     // Refit the fallback baseline on the same window the NN trained on.
     // The fit runs off the lock, which the batcher and the shed path take
     // for every fallback answer; a fresh predictor fits exactly what an
     // in-place refit would (fit_baseline starts from a fresh encoder).
     // Only the swap runs under the lock; the old baseline is freed after.
     FallbackPredictor refit(options_.fallback);
-    refit.fit_baseline(recent);
+    refit.fit_baseline(training_window(recent, options_.protocol));
     {
       util::ScopedLock fl(fallback_mutex_);
       std::swap(fallback_, refit);
@@ -519,9 +422,7 @@ bool PredictionService::run_retrain(bool claimed) {
     std::string published;
     {
       PRIONN_OBS_SPAN("serve.snapshot");
-      std::ostringstream snap(std::ios::binary);
-      shadow->save(snap);
-      published = std::move(snap).str();
+      published = shadow->snapshot();
     }
     std::uint64_t swap_ns = 0;
     {
@@ -532,52 +433,33 @@ bool PredictionService::run_retrain(bool claimed) {
     }
     shadow.reset();
     live_snapshot_ = std::move(published);
-    swaps_.fetch_add(1, std::memory_order_relaxed);
     PRIONN_OBS_OBSERVE_NS("prionn_serve_swap_latency_ns",
                           "model publish: pointer swap incl. lock wait",
                           swap_ns);
-    PRIONN_OBS_INC("prionn_retrains_total",
-                   "training events of the online protocol");
     // The new embedding invalidates cached encodings; the batcher clears
     // the cache when it observes the bumped epoch.
-    if (fit_embedding)
+    if (fits_embedding)
       cache_epoch_.fetch_add(1, std::memory_order_release);
-  } else {
-    // Rollback is free with double buffering: discard the shadow — the
-    // live model IS the pre-retrain snapshot and never stopped serving.
-    PRIONN_OBS_INC("prionn_retrains_rejected_total",
-                   "retrain attempts rejected by the guards");
-    PRIONN_OBS_INC("prionn_rollbacks_total",
-                   "shadow models discarded (live model kept serving)");
   }
+  // A rejected shadow is simply dropped: the live model IS the
+  // pre-attempt model and never stopped serving.
 
   {
     util::ScopedLock wl(window_mutex_);
-    if (accepted) {
-      ++training_events_;
-      consecutive_rejections_ = 0;
-      if (fit_embedding) embedding_ready_ = true;
-    } else {
-      ++rejected_retrains_;
-      if (++consecutive_rejections_ >= options_.max_consecutive_rejections) {
-        benched = true;
-        nn_benched_.store(true, std::memory_order_relaxed);
-        PRIONN_OBS_INC("prionn_nn_benched_total",
-                       "times the neural net was benched for the run");
-      }
-    }
+    cadence_.finish_attempt(event.accepted);
+    event.benched = cadence_.benched();
+    if (event.benched) nn_benched_.store(true, std::memory_order_relaxed);
     trainer_busy_ = false;
     trainer_done_cv_.notify_all();
   }
   retrain_active_.store(false, std::memory_order_relaxed);
 
-  event.accepted = accepted;
-  event.rollback = !accepted;
-  event.benched = benched;
+  event.window_id = attempt_id;
+  event.job_index = job_index;
   event.duration_ms =
       static_cast<double>(retrain_timer.elapsed_ns()) / 1e6;
   obs::emit(event);
-  return accepted;
+  return event.accepted;
 }
 
 }  // namespace prionn::core::serve

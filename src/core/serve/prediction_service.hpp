@@ -17,10 +17,9 @@
 //   - Double-buffered model: the retrain thread decodes a shadow copy
 //     from its serialised copy of the live predictor, trains it on the
 //     completion window (seconds) with no lock held, serialises it, and
-//     publishes it with a pointer swap. A retrain that diverges or fails
-//     the holdback-accuracy guard is discarded — the live model IS the
-//     last-good snapshot, so rollback is free (semantics from
-//     core/resilient_online).
+//     publishes it with a pointer swap. A retrain that core/online's
+//     attempt_retrain rejects is discarded — the live model IS the
+//     last-good snapshot, so rollback is free.
 //     The trainer thread runs at idle CPU priority and issues its loops on
 //     util::ThreadPool::background(), so a retrain only uses cores that
 //     serving leaves idle. Because a thread at idle priority can be held
@@ -87,15 +86,10 @@ struct ServiceOptions {
   /// prediction-for-prediction identical to the sequential trainers.
   bool background_retrain = true;
 
-  /// Divergence guards, as in ResilientOptions: a retrain whose losses
-  /// go non-finite, throws nn::TrainingDiverged, or scores below
-  /// `min_holdback_accuracy` on a held-back batch is rejected and the
-  /// live model keeps serving (0 disables the holdback check).
-  double min_holdback_accuracy = 0.0;
-  std::size_t holdback_size = 32;
-  /// Back-to-back rejected retrains before the NN is benched and the
+  /// Divergence guards, as in ResilientOptions: a rejected retrain is
+  /// discarded and the live model keeps serving; once benched, the
   /// service degrades to the fallback chain for good.
-  std::size_t max_consecutive_rejections = 3;
+  RetrainGuards guards;
 
   /// Throws std::invalid_argument on parameters the service cannot run
   /// with (delegates protocol checks to OnlineProtocolOptions::validate).
@@ -162,6 +156,11 @@ class PredictionService {
   std::size_t training_events() const;
   bool trained() const { return training_events() > 0; }
 
+  /// Whether the §2.3 cadence has a retrain due now. With
+  /// background_retrain == false the owner asks this before each
+  /// submission and answers a yes with flush() + retrain_now().
+  bool retrain_due() const;
+
   /// True while a retrain (background or retrain_now) is running — the
   /// serving-latency benches use this to classify submissions.
   bool retrain_in_flight() const noexcept {
@@ -183,12 +182,10 @@ class PredictionService {
   /// Serve one popped micro-batch: one forward pass for the NN-eligible
   /// requests, fallback chain for the rest.
   void serve_batch(std::vector<Request>& batch);
-  /// One full training event: snapshot -> shadow train -> guards ->
+  /// One full training event: snapshot -> shadow attempt_retrain ->
   /// swap-or-discard. Returns true when the shadow was published.
   /// `claimed` means the caller already owns the trainer_busy_ slot.
   bool run_retrain(bool claimed = false);
-  /// Cadence check; callers hold window_mutex_.
-  bool retrain_due() const PRIONN_REQUIRES(window_mutex_);
   void fulfill(Request& request, const ProvenancedPrediction& prediction);
 
   ServiceOptions options_;
@@ -225,11 +222,7 @@ class PredictionService {
   std::deque<std::shared_ptr<const trace::JobRecord>> window_
       PRIONN_GUARDED_BY(window_mutex_);
   std::size_t total_completions_ PRIONN_GUARDED_BY(window_mutex_) = 0;
-  std::size_t submissions_since_train_ PRIONN_GUARDED_BY(window_mutex_) = 0;
-  std::size_t training_events_ PRIONN_GUARDED_BY(window_mutex_) = 0;
-  std::size_t rejected_retrains_ PRIONN_GUARDED_BY(window_mutex_) = 0;
-  std::size_t consecutive_rejections_ PRIONN_GUARDED_BY(window_mutex_) = 0;
-  bool embedding_ready_ PRIONN_GUARDED_BY(window_mutex_) = false;
+  RetrainCadence cadence_ PRIONN_GUARDED_BY(window_mutex_);
   bool retrain_requested_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool trainer_busy_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool trainer_stop_ PRIONN_GUARDED_BY(window_mutex_) = false;
@@ -253,7 +246,6 @@ class PredictionService {
   std::atomic<std::uint64_t> batched_jobs_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> swaps_{0};
   std::array<std::atomic<std::uint64_t>, 3> source_counts_{};
 
   std::thread batcher_;

@@ -1,6 +1,5 @@
 #include "core/serve/serving_session.hpp"
 
-#include <queue>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -35,55 +34,28 @@ SessionResult ServingSession::replay(
   std::vector<std::future<ProvenancedPrediction>> futures;
   futures.reserve(jobs.size());
 
-  // Same completion model as OnlineTrainer: a min-heap on end_time feeds
-  // the training window as the submission clock advances, so the service
-  // sees completions in the identical order the sequential replay would.
-  const auto later_end = [&jobs](std::size_t a, std::size_t b) {
-    return jobs[a].end_time > jobs[b].end_time;
-  };
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      decltype(later_end)>
-      in_flight(later_end);
-
+  // The service sees completions in the identical order the sequential
+  // replays would.
+  CompletionFeed feed(jobs);
   const bool deterministic = options_.mode == ReplayMode::kDeterministic;
-  const OnlineProtocolOptions& protocol = options_.service.protocol;
-  std::size_t completed = 0;
-  std::size_t submissions_since_train = 0;
-  std::size_t rejected_attempts = 0;
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& job = jobs[i];
-    while (!in_flight.empty() &&
-           jobs[in_flight.top()].end_time <= job.submit_time) {
-      service_->complete(jobs[in_flight.top()]);
-      in_flight.pop();
-      ++completed;
-    }
+    const std::size_t moved = feed.advance(job.submit_time);
+    const auto& completed = feed.completed();
+    for (std::size_t k = completed.size() - moved; k < completed.size(); ++k)
+      service_->complete(jobs[completed[k]]);
 
-    if (deterministic) {
-      // OnlineTrainer's cadence, verbatim (plus ResilientOnlineTrainer's
-      // full-interval backoff after a guard-rejected attempt): retrain at
-      // exactly these submissions, with a flush() barrier first so every
-      // outstanding request is served by the pre-retrain model.
-      const bool trained = service_->trained();
-      bool due;
-      if (!trained) {
-        due = completed >= protocol.min_initial_completions &&
-              (rejected_attempts == 0 ||
-               submissions_since_train >= protocol.retrain_interval);
-      } else {
-        due = submissions_since_train >= protocol.retrain_interval;
-      }
-      if (due && completed > 0 && !service_->stats().nn_benched) {
-        service_->flush();
-        if (!service_->retrain_now()) ++rejected_attempts;
-        submissions_since_train = 0;
-      }
+    // Deterministic replay retrains at exactly the submissions where the
+    // sequential trainers would, with a flush() barrier first so every
+    // outstanding request is served by the pre-retrain model.
+    if (deterministic && service_->retrain_due()) {
+      service_->flush();
+      service_->retrain_now();
     }
 
     futures.push_back(service_->submit(job));
-    ++submissions_since_train;
-    in_flight.push(i);
+    feed.submit(i);
   }
 
   service_->flush();

@@ -3,9 +3,10 @@
 // serving subsystem (which serves live submissions).
 //
 // Two modes:
-//   - kDeterministic: the session drives the §2.3 retrain cadence itself
-//     (flush() barrier + retrain_now() at exactly the submissions where
-//     OnlineTrainer would train), so the replay is prediction-for-
+//   - kDeterministic: the session drives retraining itself (flush()
+//     barrier + retrain_now() whenever the service's cadence says one is
+//     due, at exactly the submissions where the sequential trainers
+//     train), so the replay is prediction-for-
 //     prediction identical to the sequential trainer at a fixed seed —
 //     micro-batched inference and the encoding cache change the wall
 //     clock, never the arithmetic. fig08/fig11 can run through the

@@ -1,6 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -29,52 +28,6 @@ Tensor Relu::backward(const Tensor& grad_output) {
 void Relu::save(std::ostream& /*os*/) const {}
 std::unique_ptr<Layer> Relu::load(std::istream& /*is*/) {
   return std::make_unique<Relu>();
-}
-
-Tensor Tanh::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  keep_for_backward(output_, out, training);
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(grad_output.same_shape(output_))
-      << "Tanh::backward: needs the output of a training forward of shape "
-      << tensor::shape_to_string(grad_output.shape());
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i)
-    grad[i] *= 1.0f - output_[i] * output_[i];
-  return grad;
-}
-
-void Tanh::save(std::ostream& /*os*/) const {}
-std::unique_ptr<Layer> Tanh::load(std::istream& /*is*/) {
-  return std::make_unique<Tanh>();
-}
-
-Tensor Sigmoid::forward(const Tensor& input, bool training) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = 1.0f / (1.0f + std::exp(-out[i]));
-  keep_for_backward(output_, out, training);
-  return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  PRIONN_CHECK(grad_output.same_shape(output_))
-      << "Sigmoid::backward: needs the output of a training forward of "
-         "shape "
-      << tensor::shape_to_string(grad_output.shape());
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i)
-    grad[i] *= output_[i] * (1.0f - output_[i]);
-  return grad;
-}
-
-void Sigmoid::save(std::ostream& /*os*/) const {}
-std::unique_ptr<Layer> Sigmoid::load(std::istream& /*is*/) {
-  return std::make_unique<Sigmoid>();
 }
 
 }  // namespace prionn::nn

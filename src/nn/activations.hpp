@@ -1,5 +1,5 @@
-// Element-wise activation layers. Shape-agnostic: they apply to whatever
-// batch tensor flows through.
+// The element-wise ReLU activation layer. Shape-agnostic: it applies to
+// whatever batch tensor flows through.
 #pragma once
 
 #include <memory>
@@ -19,32 +19,6 @@ class Relu : public Layer {
 
  private:
   Tensor input_;
-};
-
-class Tanh : public Layer {
- public:
-  std::string kind() const override { return "tanh"; }
-  Shape output_shape(const Shape& input) const override { return input; }
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void save(std::ostream& os) const override;
-  static std::unique_ptr<Layer> load(std::istream& is);
-
- private:
-  Tensor output_;  // tanh' = 1 - y^2, so caching the output suffices
-};
-
-class Sigmoid : public Layer {
- public:
-  std::string kind() const override { return "sigmoid"; }
-  Shape output_shape(const Shape& input) const override { return input; }
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void save(std::ostream& os) const override;
-  static std::unique_ptr<Layer> load(std::istream& is);
-
- private:
-  Tensor output_;
 };
 
 }  // namespace prionn::nn

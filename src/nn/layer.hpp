@@ -9,7 +9,7 @@
 //     input, the output, the max-pool winners, the dropout mask);
 //   - forward(x, /*training=*/false) is the serving path: it keeps no
 //     backward state and drops whatever an earlier training forward kept.
-//     Except in Dropout and BatchNorm, which differ by design, its outputs
+//     Except in Dropout, which differs by design, its outputs
 //     are bitwise those of a training forward.
 // So backward() is valid only when the layer's last forward was a
 // training forward of the same batch; otherwise it fails a PRIONN_CHECK

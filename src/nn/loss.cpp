@@ -56,26 +56,4 @@ tensor::Tensor softmax_probabilities(const tensor::Tensor& logits) {
   return probs;
 }
 
-LossResult mean_squared_error(const tensor::Tensor& output,
-                              const tensor::Tensor& target) {
-  if (!output.same_shape(target))
-    throw std::invalid_argument("mean_squared_error: shape mismatch");
-  LossResult result;
-  result.grad = tensor::Tensor(output.shape());
-  double loss = 0.0;
-  const auto n = static_cast<double>(output.size());
-  for (std::size_t i = 0; i < output.size(); ++i) {
-    const float diff = output[i] - target[i];
-    loss += static_cast<double>(diff) * diff;
-    result.grad[i] = static_cast<float>(2.0 * diff / n);
-  }
-  result.value = loss / n;
-  if (!std::isfinite(result.value))
-    throw TrainingDiverged("mean_squared_error: loss diverged over " +
-                           std::to_string(output.size()) + " elements");
-  PRIONN_DCHECK_FINITE(result.grad.span())
-      << "mean_squared_error: non-finite gradient";
-  return result;
-}
-
 }  // namespace prionn::nn

@@ -117,7 +117,7 @@ Tensor Network::gather(const Tensor& batch,
 
 double Network::train_batch(const Tensor& inputs,
                             std::span<const std::uint32_t> labels,
-                            Optimizer& opt, double gradient_clip,
+                            Adam& opt, double gradient_clip,
                             double max_gradient_norm) {
   zero_gradients();
   const Tensor logits = forward(inputs, /*training=*/true);
@@ -142,7 +142,7 @@ double Network::train_batch(const Tensor& inputs,
 }
 
 FitReport Network::fit(const Tensor& inputs,
-                       std::span<const std::uint32_t> labels, Optimizer& opt,
+                       std::span<const std::uint32_t> labels, Adam& opt,
                        const FitOptions& options) {
   const std::size_t n = inputs.dim(0);
   if (labels.size() != n)

@@ -81,13 +81,13 @@ class Network {
   /// are class indices. Warm start: calling fit again continues from the
   /// current weights (and the optimiser keeps its state).
   FitReport fit(const Tensor& inputs, std::span<const std::uint32_t> labels,
-                Optimizer& opt, const FitOptions& options = {});
+                Adam& opt, const FitOptions& options = {});
 
   /// One gradient step on one mini-batch; returns the batch loss. Throws
   /// TrainingDiverged on a non-finite loss or (when max_gradient_norm > 0)
   /// an exploding gradient, before any weight is updated.
   double train_batch(const Tensor& inputs,
-                     std::span<const std::uint32_t> labels, Optimizer& opt,
+                     std::span<const std::uint32_t> labels, Adam& opt,
                      double gradient_clip = 0.0,
                      double max_gradient_norm = 0.0);
 

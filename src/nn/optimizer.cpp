@@ -10,55 +10,6 @@
 
 namespace prionn::nn {
 
-namespace {
-
-// Shared step contract: parameter/gradient tensors must agree in shape
-// (a mismatch would read out of bounds below), and in checked builds the
-// incoming gradients must be finite so a diverging update aborts at the
-// step instead of corrupting the weights.
-void check_step_pair(const tensor::Tensor& w, const tensor::Tensor& g,
-                     std::size_t index) {
-  PRIONN_CHECK(g.same_shape(w))
-      << "Optimizer::step: gradient " << index << " shape "
-      << tensor::shape_to_string(g.shape()) << " != parameter shape "
-      << tensor::shape_to_string(w.shape());
-  PRIONN_DCHECK_FINITE(g.span())
-      << "Optimizer::step: non-finite gradient for parameter " << index;
-}
-
-}  // namespace
-
-Sgd::Sgd(double lr, double momentum, double weight_decay)
-    : lr_(lr), momentum_(momentum), weight_decay_(weight_decay) {
-  if (lr <= 0.0) throw std::invalid_argument("Sgd: lr must be positive");
-}
-
-void Sgd::step(const std::vector<tensor::Tensor*>& params,
-               const std::vector<tensor::Tensor*>& grads) {
-  if (params.size() != grads.size())
-    throw std::invalid_argument("Sgd::step: param/grad count mismatch");
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    tensor::Tensor& w = *params[p];
-    const tensor::Tensor& g = *grads[p];
-    check_step_pair(w, g, p);
-    const auto lr = static_cast<float>(lr_);
-    const auto wd = static_cast<float>(weight_decay_);
-    if (momentum_ == 0.0) {
-      for (std::size_t i = 0; i < w.size(); ++i)
-        w[i] -= lr * (g[i] + wd * w[i]);
-      continue;
-    }
-    auto [it, inserted] = velocity_.try_emplace(params[p], w.shape());
-    tensor::Tensor& v = it->second;
-    if (!inserted && !v.same_shape(w)) v = tensor::Tensor(w.shape());
-    const auto mu = static_cast<float>(momentum_);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      v[i] = mu * v[i] + g[i] + wd * w[i];
-      w[i] -= lr * v[i];
-    }
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps,
            double weight_decay)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
@@ -73,7 +24,16 @@ void Adam::step(const std::vector<tensor::Tensor*>& params,
   for (std::size_t p = 0; p < params.size(); ++p) {
     tensor::Tensor& w = *params[p];
     const tensor::Tensor& g = *grads[p];
-    check_step_pair(w, g, p);
+    // Parameter and gradient must agree in shape (a mismatch would read
+    // out of bounds below), and in checked builds the gradient must be
+    // finite, so a diverging update aborts here instead of corrupting
+    // the weights.
+    PRIONN_CHECK(g.same_shape(w))
+        << "Adam::step: gradient " << p << " shape "
+        << tensor::shape_to_string(g.shape()) << " != parameter shape "
+        << tensor::shape_to_string(w.shape());
+    PRIONN_DCHECK_FINITE(g.span())
+        << "Adam::step: non-finite gradient for parameter " << p;
     auto [it, inserted] = moments_.try_emplace(params[p]);
     Moments& st = it->second;
     if (inserted || !st.m.same_shape(w)) {

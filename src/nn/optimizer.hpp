@@ -1,6 +1,6 @@
-// First-order optimisers. Optimiser state (momentum / Adam moments) is
-// keyed by parameter identity, so the same optimiser object can keep
-// driving a network across the paper's warm-start retraining events.
+// The Adam optimiser. Its state (the moments) is keyed by parameter
+// identity, so the same optimiser object can keep driving a network across
+// the paper's warm-start retraining events.
 #pragma once
 
 #include <cstddef>
@@ -12,39 +12,16 @@
 
 namespace prionn::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update given parallel vectors of parameters and gradients.
-  virtual void step(const std::vector<tensor::Tensor*>& params,
-                    const std::vector<tensor::Tensor*>& grads) = 0;
-  virtual double learning_rate() const noexcept = 0;
-  virtual void set_learning_rate(double lr) noexcept = 0;
-};
-
-/// SGD with classical momentum and optional L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0, double weight_decay = 0.0);
-  void step(const std::vector<tensor::Tensor*>& params,
-            const std::vector<tensor::Tensor*>& grads) override;
-  double learning_rate() const noexcept override { return lr_; }
-  void set_learning_rate(double lr) noexcept override { lr_ = lr; }
-
- private:
-  double lr_, momentum_, weight_decay_;
-  std::unordered_map<const tensor::Tensor*, tensor::Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with bias correction.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8, double weight_decay = 0.0);
+  /// Apply one update given parallel vectors of parameters and gradients.
   void step(const std::vector<tensor::Tensor*>& params,
-            const std::vector<tensor::Tensor*>& grads) override;
-  double learning_rate() const noexcept override { return lr_; }
-  void set_learning_rate(double lr) noexcept override { lr_ = lr; }
+            const std::vector<tensor::Tensor*>& grads);
+  double learning_rate() const noexcept { return lr_; }
+  void set_learning_rate(double lr) noexcept { lr_ = lr; }
 
   /// Persist / restore the per-parameter moments in the order of `params`
   /// (Network::parameters() order is deterministic, so a checkpointed

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "nn/activations.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -29,12 +28,10 @@ using Loader = std::function<std::unique_ptr<Layer>(std::istream&)>;
 
 const std::map<std::string, Loader>& loaders() {
   static const std::map<std::string, Loader> table = {
-      {"batchnorm", BatchNorm::load},
-      {"dense", Dense::load},       {"conv2d", Conv2d::load},
-      {"conv1d", Conv1d::load},     {"maxpool2d", MaxPool2d::load},
+      {"dense", Dense::load},         {"conv2d", Conv2d::load},
+      {"conv1d", Conv1d::load},       {"maxpool2d", MaxPool2d::load},
       {"maxpool1d", MaxPool1d::load}, {"relu", Relu::load},
-      {"tanh", Tanh::load},         {"sigmoid", Sigmoid::load},
-      {"flatten", Flatten::load},   {"dropout", Dropout::load},
+      {"flatten", Flatten::load},     {"dropout", Dropout::load},
   };
   return table;
 }

@@ -32,7 +32,7 @@ struct RetrainEvent {
   double holdback_accuracy = -1.0; // -1 when the guard did not run
   bool accepted = false;
   bool rollback = false;           // snapshot restore performed
-  bool benched = false;            // rejection limit hit at this event
+  bool benched = false;            // NN benched once this attempt ended
   std::uint64_t checkpoint_generation = 0;  // durable writes so far
   double duration_ms = 0.0;
 };

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,7 +53,7 @@ class FeatureEncoder {
   /// Convenience: parse + encode a whole trace into a Dataset whose target
   /// is extracted by `target` (e.g. runtime, bytes read...).
   template <typename TargetFn>
-  ml::Dataset encode_jobs(const std::vector<JobRecord>& jobs,
+  ml::Dataset encode_jobs(std::span<const JobRecord> jobs,
                           TargetFn&& target) {
     ml::Dataset data(ScriptFeatures::kCount);
     data.reserve(jobs.size());

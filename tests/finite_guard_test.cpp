@@ -95,18 +95,23 @@ TEST(FiniteGuardTest, NanPoisonedImagesTripTheLossGuard) {
 TEST(FiniteGuardTest, HugeMagnitudeImagesThrowInsteadOfPoisoningWeights) {
   std::vector<std::string> scripts(8, "#!/bin/bash\n");
   Tensor batch = script_batch(scripts);
-  for (std::size_t i = 0; i < batch.size(); ++i) batch[i] = 1e30f;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch[i] = std::numeric_limits<float>::max();
 
-  // The first batches stay representable, but the gradient steps blow the
-  // weights up until the logits overflow float; the loss guard must stop
-  // training at that point rather than let NaN weights serve predictions.
+  // The pixels are representable, but the layers' sums are not: the
+  // logits overflow float, and the loss guard must stop training at that
+  // batch, before the update, rather than let NaN weights serve
+  // predictions. (Adam moves a weight by about its learning rate per
+  // step, so smaller images cannot drive the weights to overflow.)
   Network net = tiny_classifier();
-  prionn::nn::Sgd opt(0.1);
+  prionn::nn::Adam opt(0.1);
   const auto labels = cycling_labels(scripts.size());
   prionn::nn::FitOptions options = fit_options();
   options.epochs = 50;
   EXPECT_THROW(net.fit(batch, labels, opt, options),
                prionn::nn::TrainingDiverged);
+  for (const Tensor* w : net.parameters())
+    for (const float v : w->span()) ASSERT_TRUE(std::isfinite(v));
 }
 
 }  // namespace

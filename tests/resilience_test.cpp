@@ -572,7 +572,7 @@ TEST(ResilientOnline, RepeatedRejectionsBenchTheNn) {
 
   auto options = tiny_resilient_options(path.str());
   options.online.predictor.max_gradient_norm = 1e-12;  // every train fails
-  options.max_consecutive_rejections = 2;
+  options.guards.max_consecutive_rejections = 2;
   core::ResilientOnlineTrainer trainer(options);
   const auto result = trainer.run(jobs);
 

@@ -4,6 +4,7 @@
 // concurrency-heavy cases here are the payload of the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -11,15 +12,20 @@
 #include <vector>
 
 #include "core/online.hpp"
+#include "core/resilient_online.hpp"
 #include "core/serve/encoding_cache.hpp"
 #include "core/serve/prediction_service.hpp"
 #include "core/serve/serving_session.hpp"
+#include "obs/obs.hpp"
 #include "tensor/tensor.hpp"
 #include "trace/workload.hpp"
+#include "util/fault.hpp"
 
 namespace core = prionn::core;
 namespace serve = prionn::core::serve;
 namespace tr = prionn::trace;
+namespace fault = prionn::util::fault;
+namespace obs = prionn::obs;
 
 namespace {
 
@@ -185,6 +191,118 @@ TEST(ServingSession, DeterministicReplayEqualsOnlineTrainerWord2Vec) {
   }
 }
 
+// The retrain attempts one replay emitted, in order, with the fields that
+// depend on the wall clock or on checkpointing cleared.
+std::vector<obs::RetrainEvent> retrain_events() {
+  std::vector<obs::RetrainEvent> out;
+  for (const auto& line : obs::event_log().lines()) {
+    auto event = obs::EventLog::parse_retrain(line);
+    if (!event) continue;
+    event->duration_ms = 0.0;
+    event->checkpoint_generation = 0;
+    out.push_back(*event);
+  }
+  return out;
+}
+
+// ResilientOnlineTrainer (train in place, restore a snapshot on rejection)
+// and the service's deterministic replay (train a shadow, swap or drop it)
+// run the one §2.3 protocol of core/online: every job gets the same answer
+// from the same source, and every attempt the same RetrainEvent, with or
+// without a NaN-poisoned retrain. A rejected word2vec first retrain must
+// leave no embedding behind on either path.
+TEST(ServingSession, DeterministicReplayEqualsResilientTrainer) {
+  const auto jobs = tiny_jobs(120);
+  obs::set_enabled(true);
+  for (const auto transform :
+       {core::Transform::kSimple, core::Transform::kWord2Vec}) {
+    for (const std::uint64_t poisoned_retrain : {0, 1, 2}) {  // 0: no fault
+      SCOPED_TRACE(::testing::Message()
+                   << "word2vec " << (transform == core::Transform::kWord2Vec)
+                   << ", poisoned retrain " << poisoned_retrain);
+      serve::SessionOptions session_options;
+      session_options.service = tiny_service(transform);
+      // Runtime-head confidences here run from 0.03 to 0.18.
+      session_options.service.fallback.min_confidence = 0.06;
+      session_options.mode = serve::ReplayMode::kDeterministic;
+      core::ResilientOptions resilient_options;
+      static_cast<core::OnlineProtocolOptions&>(resilient_options.online) =
+          session_options.service.protocol;
+      resilient_options.online.predictor = session_options.service.predictor;
+      resilient_options.fallback = session_options.service.fallback;
+      resilient_options.guards = session_options.service.guards;
+
+      fault::FaultPlan plan;
+      if (poisoned_retrain > 0)
+        plan.point(fault::FaultPoint::kNanPoisonBatch).fire_at = {
+            poisoned_retrain};
+
+      obs::event_log().clear();
+      core::ResilientResult sequential;
+      {
+        fault::ScopedFaultPlan armed(plan);
+        sequential = core::ResilientOnlineTrainer(resilient_options).run(jobs);
+      }
+      const auto sequential_events = retrain_events();
+
+      obs::event_log().clear();
+      serve::SessionResult served;
+      {
+        fault::ScopedFaultPlan armed(plan);
+        served = serve::ServingSession(session_options).replay(jobs);
+      }
+      const auto served_events = retrain_events();
+
+      EXPECT_EQ(sequential.rejected_retrains, poisoned_retrain > 0 ? 1u : 0u);
+      EXPECT_EQ(served.stats.rejected_retrains, sequential.rejected_retrains);
+      EXPECT_EQ(served.training_events, sequential.training_events);
+      ASSERT_EQ(served.predictions.size(), jobs.size());
+      std::array<std::size_t, 3> sources{};
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_TRUE(sequential.predictions[i].has_value());
+        const auto& seq = *sequential.predictions[i];
+        const auto& svc = served.predictions[i];
+        EXPECT_EQ(svc.source, seq.source) << "job " << i;
+        // Bit-exact, not approximately equal.
+        EXPECT_EQ(svc.value.runtime_minutes, seq.value.runtime_minutes)
+            << "job " << i;
+        EXPECT_EQ(svc.value.bytes_read, seq.value.bytes_read) << "job " << i;
+        EXPECT_EQ(svc.value.bytes_written, seq.value.bytes_written)
+            << "job " << i;
+        ++sources[static_cast<std::size_t>(seq.source)];
+      }
+      // At this floor both legs answer: (NN, RF, requested) counts are
+      // 63/40/17, 63/20/37 and 43/60/17 for the simple transform with no
+      // fault, the 1st and the 2nd retrain poisoned, and 43/60/17,
+      // 63/20/37 and 43/60/17 for word2vec (-march=native build).
+      EXPECT_GT(sources[static_cast<std::size_t>(
+                    core::PredictionSource::kNeuralNet)],
+                0u);
+      EXPECT_GT(sources[static_cast<std::size_t>(
+                    core::PredictionSource::kRandomForest)],
+                0u);
+
+      if (!obs::kEnabled) continue;  // no event log in obs-off builds
+      ASSERT_EQ(served_events.size(), sequential_events.size());
+      for (std::size_t e = 0; e < served_events.size(); ++e) {
+        const auto& a = sequential_events[e];
+        const auto& b = served_events[e];
+        EXPECT_EQ(b.window_id, a.window_id) << "event " << e;
+        EXPECT_EQ(b.job_index, a.job_index) << "event " << e;
+        EXPECT_EQ(b.window_size, a.window_size) << "event " << e;
+        EXPECT_EQ(b.holdback_size, a.holdback_size) << "event " << e;
+        EXPECT_EQ(b.loss, a.loss) << "event " << e;
+        EXPECT_EQ(b.holdback_accuracy, a.holdback_accuracy) << "event " << e;
+        EXPECT_EQ(b.accepted, a.accepted) << "event " << e;
+        EXPECT_EQ(b.rollback, a.rollback) << "event " << e;
+        EXPECT_EQ(b.benched, a.benched) << "event " << e;
+      }
+    }
+  }
+  obs::set_enabled(false);
+  obs::event_log().clear();
+}
+
 // Cache on vs cache off must be indistinguishable in the answers — across
 // model swaps too (an accepted retrain must not serve stale encodings).
 TEST(ServingSession, EncodingCacheDoesNotChangePredictions) {
@@ -289,9 +407,10 @@ TEST(PredictionService, BackpressureShedsToFallbackChain) {
 TEST(PredictionService, GuardRejectionKeepsLastGoodModelAndBenches) {
   serve::ServiceOptions options = tiny_service();
   options.background_retrain = false;
-  options.min_holdback_accuracy = 1.1;  // unreachable: every retrain fails
-  options.holdback_size = 4;
-  options.max_consecutive_rejections = 2;
+  // Unreachable: every retrain fails.
+  options.guards.min_holdback_accuracy = 1.1;
+  options.guards.holdback_size = 4;
+  options.guards.max_consecutive_rejections = 2;
   serve::PredictionService service(options);
 
   const auto jobs = tiny_jobs(30);
