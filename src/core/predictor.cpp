@@ -3,10 +3,13 @@
 #include "obs/obs.hpp"
 #include "tensor/ops.hpp"
 #include "util/fault.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -130,15 +133,38 @@ PrionnPredictor::TrainReport PrionnPredictor::train(
   fit.batch_size = options_.batch_size;
   fit.shuffle_seed = options_.seed + training_events_;
   fit.max_gradient_norm = options_.max_gradient_norm;
+  // The heads share only the read-only batch and the fit options; each
+  // owns its network, optimiser and RNGs, so they fit concurrently and
+  // the result does not depend on which thread fits which head. Loops
+  // the heads issue run inline on their own threads (see ThreadPool).
+  struct Head {
+    nn::Network& net;
+    nn::Adam& opt;
+    const std::vector<std::uint32_t>& labels;
+    double& loss;
+  };
   TrainReport report;
-  report.runtime_loss =
-      runtime_net_.fit(batch, runtime_labels, runtime_opt_, fit).final_loss();
-  if (options_.predict_io) {
-    report.read_loss =
-        read_net_.fit(batch, read_labels, read_opt_, fit).final_loss();
-    report.write_loss =
-        write_net_.fit(batch, write_labels, write_opt_, fit).final_loss();
-  }
+  const std::array<Head, 3> heads{{
+      {runtime_net_, runtime_opt_, runtime_labels, report.runtime_loss},
+      {read_net_, read_opt_, read_labels, report.read_loss},
+      {write_net_, write_opt_, write_labels, report.write_loss},
+  }};
+  std::array<std::exception_ptr, 3> errors;
+  util::parallel_for(0, options_.predict_io ? 3 : 1, [&](std::size_t h) {
+    PRIONN_OBS_SPAN("train.head_fit");
+    PRIONN_OBS_TIME("prionn_train_head_latency_ns",
+                    "wall time of one head's fit");
+    try {
+      heads[h].loss =
+          heads[h].net.fit(batch, heads[h].labels, heads[h].opt, fit)
+              .final_loss();
+    } catch (...) {
+      errors[h] = std::current_exception();
+    }
+  });
+  // The first failure in head order, whichever thread finished first.
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
   trained_ = true;
   ++training_events_;
   return report;

@@ -105,11 +105,14 @@ class PrionnPredictor {
 
   /// (Re)train on completed jobs. Warm start: repeated calls continue from
   /// the current weights and optimiser state (paper section 2.3: models
-  /// are retrained rather than re-initialised). Throws
-  /// nn::TrainingDiverged when the loss goes non-finite or the gradient
-  /// norm guard trips; the weights touched so far may be partially
-  /// updated, so callers that need atomicity snapshot first
-  /// (core/resilient_online does).
+  /// are retrained rather than re-initialised). The heads are mapped once
+  /// and fit concurrently on util::ThreadPool::current(). Throws
+  /// nn::TrainingDiverged when a head's loss goes non-finite or its
+  /// gradient norm guard trips: the first failing head's in head order
+  /// (runtime, read, write), after every head has stopped. The weights
+  /// may then be partially updated, so a caller that needs atomicity
+  /// restores a snapshot or discards a shadow copy (core/online's
+  /// attempt_retrain leaves that to its callers).
   TrainReport train(std::span<const trace::JobRecord> completed_jobs);
 
   bool trained() const noexcept { return trained_; }

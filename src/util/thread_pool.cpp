@@ -15,6 +15,10 @@ namespace {
 
 thread_local bool t_background = false;
 
+/// Chunk bodies running on this thread, of any pool. Nonzero means a
+/// loop issued here is nested and runs inline.
+thread_local std::size_t t_chunk_depth = 0;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) : ThreadPool(threads, false) {}
@@ -52,12 +56,14 @@ void ThreadPool::run_chunk(const Task& task, std::size_t chunk_id) {
       task.begin + chunk_id * per + std::min(chunk_id, extra);
   const std::size_t hi = lo + per + (chunk_id < extra ? 1 : 0);
   if (lo >= hi) return;
+  ++t_chunk_depth;
   try {
     (*task.body)(lo, hi);
   } catch (...) {
     ScopedLock lock(mutex_);
     if (!first_error_) first_error_ = std::current_exception();
   }
+  --t_chunk_depth;
 }
 
 void ThreadPool::worker_loop(std::size_t worker_id) {
@@ -86,7 +92,7 @@ void ThreadPool::parallel_for_chunks(
   if (begin >= end) return;
   const std::size_t total = end - begin;
   const std::size_t chunks = std::min(total, size());
-  if (chunks <= 1 || workers_.empty()) {
+  if (chunks <= 1 || workers_.empty() || t_chunk_depth != 0) {
     fn(begin, end);
     return;
   }

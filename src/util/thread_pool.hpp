@@ -8,7 +8,8 @@
 // background() for work that must yield the CPU to it, such as
 // PredictionService's background retrain. Loops issued through current()
 // (util::parallel_for, tensor::gemm) land on background() from a thread
-// that called enter_background(), and on global() from any other.
+// that called enter_background(), and on global() from any other. A loop
+// issued from inside another loop's body runs inline (see parallel_for).
 #pragma once
 
 #include <cstddef>
@@ -41,9 +42,13 @@ class ThreadPool {
   /// concurrent callers interleave at per-loop granularity rather than
   /// corrupting the task state. That also makes them wait for each
   /// other's loops, which is why a background retrain issues its loops
-  /// on background() rather than on the pool serving uses. Do not nest
-  /// parallel_for inside a worker body: the submission lock is not
-  /// reentrant.
+  /// on background() rather than on the pool serving uses. A loop issued
+  /// from inside a chunk body (of any pool) runs inline, as one chunk on
+  /// that thread: the submission lock is not reentrant and the workers
+  /// are busy, so fanning out again would deadlock. Inline keeps the
+  /// bits, because every loop in this library partitions independent
+  /// iterations (GEMM rows, forest trees, scripts) whose results do not
+  /// depend on which thread or chunk computes them.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

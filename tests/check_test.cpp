@@ -7,11 +7,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -181,6 +183,66 @@ TEST(ThreadPoolStressTest, PerThreadRngChildrenAreIndependent) {
     second_draw[t] = rng();
   });
   EXPECT_EQ(first_draw, second_draw);
+}
+
+/// Nested loops: a parallel_for issued from inside a chunk body runs
+/// inline on that chunk's thread. Every call completes, every inner index
+/// is visited once on its outer chunk's thread, an inner exception reaches
+/// the outermost caller, and the pool stays usable.
+void expect_nested_loops_run_inline(
+    const std::function<void(std::size_t, std::size_t,
+                             const std::function<void(std::size_t)>&)>&
+        parallel_for) {
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 37;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> visits(kOuter * kInner);
+    std::vector<std::thread::id> outer_thread(kOuter);
+    std::vector<std::thread::id> inner_thread(kOuter * kInner);
+    parallel_for(0, kOuter, [&](std::size_t o) {
+      outer_thread[o] = std::this_thread::get_id();
+      parallel_for(0, kInner, [&](std::size_t i) {
+        ++visits[o * kInner + i];
+        inner_thread[o * kInner + i] = std::this_thread::get_id();
+      });
+    });
+    for (std::size_t o = 0; o < kOuter; ++o) {
+      for (std::size_t i = 0; i < kInner; ++i) {
+        ASSERT_EQ(visits[o * kInner + i].load(), 1)
+            << "outer " << o << " inner " << i << " round " << round;
+        ASSERT_EQ(inner_thread[o * kInner + i], outer_thread[o])
+            << "outer " << o << " inner " << i << " round " << round;
+      }
+    }
+
+    EXPECT_THROW(parallel_for(0, kOuter,
+                              [&](std::size_t o) {
+                                parallel_for(0, kInner, [&](std::size_t i) {
+                                  if (o == kOuter - 1 && i == kInner / 2)
+                                    throw std::runtime_error("nested boom");
+                                });
+                              }),
+                 std::runtime_error);
+
+    std::atomic<std::size_t> plain{0};
+    parallel_for(0, 64, [&](std::size_t) { ++plain; });
+    ASSERT_EQ(plain.load(), 64u);
+  }
+}
+
+TEST(ThreadPoolStressTest, NestedLoopRunsInlineOnItsThread) {
+  ThreadPool pool(4);
+  expect_nested_loops_run_inline(
+      [&pool](std::size_t begin, std::size_t end,
+              const std::function<void(std::size_t)>& fn) {
+        pool.parallel_for(begin, end, fn);
+      });
+  // util::parallel_for issues on current(), which is global() here.
+  expect_nested_loops_run_inline(
+      [](std::size_t begin, std::size_t end,
+         const std::function<void(std::size_t)>& fn) {
+        prionn::util::parallel_for(begin, end, fn);
+      });
 }
 
 TEST(ThreadPoolStressTest, GlobalPoolHandlesEmptyAndTinyRanges) {

@@ -19,6 +19,7 @@
 #include "trace/workload.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace core = prionn::core;
 namespace tr = prionn::trace;
@@ -392,6 +393,64 @@ TEST(Predictor, SaveLoadRoundTripPreservesPredictions) {
   loaded.train(jobs);
   EXPECT_EQ(loaded.training_events(), p.training_events() + 1);
 }
+
+TEST(Predictor, ConcurrentHeadsMatchInlineHeadsBitwise) {
+  // train() fits its heads concurrently on the pool; issued from inside a
+  // pool chunk, the same loop runs the heads inline one after another.
+  // Both schedules must produce the same bytes.
+  auto jobs = tiny_jobs(40);
+  for (const auto transform :
+       {core::Transform::kSimple, core::Transform::kWord2Vec}) {
+    SCOPED_TRACE(core::transform_name(transform));
+    core::PrionnPredictor seed_model(tiny_predictor(transform));
+    std::vector<std::string> scripts;
+    for (const auto& j : jobs) scripts.push_back(j.script);
+    seed_model.fit_embedding(scripts);
+    const std::string seed_bytes = seed_model.snapshot();
+    auto concurrent = core::PrionnPredictor::from_snapshot(seed_bytes);
+    auto inline_heads = core::PrionnPredictor::from_snapshot(seed_bytes);
+    ASSERT_TRUE(concurrent.options().predict_io);
+
+    for (int event = 0; event < 2; ++event) {
+      const auto a = concurrent.train(jobs);
+      core::PrionnPredictor::TrainReport b;
+      prionn::util::parallel_for(0, 2, [&](std::size_t i) {
+        if (i == 0) b = inline_heads.train(jobs);
+      });
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.runtime_loss),
+                std::bit_cast<std::uint64_t>(b.runtime_loss));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.read_loss),
+                std::bit_cast<std::uint64_t>(b.read_loss));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.write_loss),
+                std::bit_cast<std::uint64_t>(b.write_loss));
+      EXPECT_TRUE(concurrent.snapshot() == inline_heads.snapshot())
+          << "event " << event;
+    }
+  }
+}
+
+#if PRIONN_OBS_ENABLED
+TEST(Predictor, EachHeadFitIsTimedAndTraced) {
+  auto& head_fits =
+      prionn::obs::registry().latency("prionn_train_head_latency_ns");
+  auto& spans = prionn::obs::trace_buffer();
+  const auto jobs = tiny_jobs(20);
+  for (const bool predict_io : {true, false}) {
+    auto opts = tiny_predictor();
+    opts.predict_io = predict_io;
+    core::PrionnPredictor p(opts);
+    spans.clear();
+    const std::uint64_t before = head_fits.count();
+    p.train(jobs);
+    const std::size_t heads = predict_io ? 3 : 1;
+    EXPECT_EQ(head_fits.count(), before + heads);
+    std::size_t head_spans = 0;
+    for (const auto& span : spans.snapshot())
+      if (std::string_view(span.name) == "train.head_fit") ++head_spans;
+    EXPECT_EQ(head_spans, heads);
+  }
+}
+#endif  // PRIONN_OBS_ENABLED
 
 TEST(Predictor, LoadRejectsGarbage) {
   std::stringstream ss("definitely not a predictor checkpoint");
