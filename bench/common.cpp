@@ -174,7 +174,7 @@ std::vector<sched::ScheduledJob> simulate_schedule(
     s.believed_runtime = jobs[i].requested_minutes * 60.0;
     sim_jobs.push_back(s);
   }
-  sched::ClusterSimulator sim({nodes, true});
+  sched::ClusterSimulator sim({nodes});
   return sim.run(sim_jobs);
 }
 

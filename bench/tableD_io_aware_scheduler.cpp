@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   // Cap at the burst threshold of the oblivious schedule's realised IO:
   // exactly the contention level the paper flags as a burst.
-  sched::IoAwareSimulator oblivious_sim({1296, 0.0, true, 4.0 * 3600.0});
+  sched::IoAwareSimulator oblivious_sim({1296, 0.0, 4.0 * 3600.0});
   const auto oblivious =
       oblivious_sim.run(to_io_jobs(run.jobs, dense, /*oracle=*/true));
   const std::span<const double> series(oblivious.actual_io_series);
@@ -81,11 +81,11 @@ int main(int argc, char** argv) {
   };
   report("oblivious (no IO awareness)", oblivious);
 
-  sched::IoAwareSimulator oracle_sim({1296, cap, true, 4.0 * 3600.0});
+  sched::IoAwareSimulator oracle_sim({1296, cap, 4.0 * 3600.0});
   report("IO-aware, oracle bandwidths",
          oracle_sim.run(to_io_jobs(run.jobs, dense, /*oracle=*/true)));
 
-  sched::IoAwareSimulator prionn_sim({1296, cap, true, 4.0 * 3600.0});
+  sched::IoAwareSimulator prionn_sim({1296, cap, 4.0 * 3600.0});
   report("IO-aware, PRIONN bandwidths",
          prionn_sim.run(to_io_jobs(run.jobs, dense, /*oracle=*/false)));
 

@@ -5,6 +5,13 @@
 // effect of runtime-prediction quality on the schedule is faithfully
 // modelled.
 //
+// Optional IO admission (sections 1 and 4; after Herbein et al., HPDC'16)
+// tracks a parallel-filesystem bandwidth budget alongside the node budget:
+// a job only starts when both its nodes and its *predicted* IO bandwidth
+// fit. IoAwareSimulator (sched/io_aware.hpp) runs a trace this way. The
+// IO-hold counter and the predicted-IO gauge are written only while IO
+// admission is on, so the default path pays for neither.
+//
 // The simulator is copyable by design: the paper's turnaround-time
 // predictor snapshots the live system state on every submission, replaces
 // the runtimes of queued/running jobs with predictions, and replays the
@@ -23,7 +30,13 @@ namespace prionn::sched {
 
 struct ClusterOptions {
   std::uint32_t total_nodes = 1296;  // Cab's node count
-  bool easy_backfill = true;
+  /// Aggregate filesystem budget for IO admission, bytes/s (0 turns IO
+  /// admission off, leaving plain FCFS + EASY backfill).
+  double io_cap = 0.0;
+  /// Upper bound on how long IO admission may hold back the queue head
+  /// before it is started anyway (avoids starvation when one job's
+  /// predicted IO alone exceeds the cap). Seconds.
+  double max_io_hold = 4.0 * 3600.0;
 };
 
 class ClusterSimulator {
@@ -43,11 +56,14 @@ class ClusterSimulator {
   void advance_to(double time);
 
   /// Submit a job; jobs must arrive in non-decreasing submit order. The
-  /// simulator advances to the submit time first.
-  void submit(const SimJob& job);
+  /// simulator advances to the submit time first. The predicted bandwidth
+  /// (bytes/s) matters only under IO admission.
+  void submit(const SimJob& job, double predicted_bandwidth = 0.0);
 
   /// Run until every submitted job has completed.
   void drain();
+
+  const ClusterOptions& options() const noexcept { return options_; }
 
   /// Completed jobs so far (in completion order).
   const std::vector<ScheduledJob>& completed() const noexcept {
@@ -74,8 +90,8 @@ class ClusterSimulator {
   ///   - a running target is answered as now + max(1, predicted - elapsed)
   ///     - submit, with no clone;
   ///   - for a queued target only the live state (not the completed
-  ///     history) is cloned, and advanced one completion event at a time
-  ///     until the target starts. The number of events is added to the
+  ///     history) is cloned, and advanced one event at a time until the
+  ///     target starts. The number of events is added to the
   ///     `prionn_sched_snapshot_replay_steps_total` counter.
   double snapshot_turnaround(
       std::uint64_t job_id,
@@ -89,6 +105,12 @@ class ClusterSimulator {
     double submit = 0.0;
     double actual_end = 0.0;    // drives the completion event
     double believed_end = 0.0;  // drives reservations/backfill
+    double predicted_bw = 0.0;  // drives IO admission
+  };
+
+  struct Queued {
+    SimJob job;
+    double predicted_bw = 0.0;
   };
 
   /// Everything that decides the future schedule; a snapshot copies this
@@ -96,15 +118,22 @@ class ClusterSimulator {
   struct LiveState {
     double now = 0.0;
     std::uint32_t free_nodes = 0;
+    double io_in_use = 0.0;         // predicted bandwidth of the running set
+    double head_held_since = -1.0;  // when IO admission began holding the head
     std::vector<Running> running;
-    std::deque<SimJob> queue;
+    std::deque<Queued> queue;
   };
 
   ClusterSimulator(ClusterOptions options, LiveState live);
 
+  bool io_fits(double predicted_bw) const noexcept {
+    return options_.io_cap <= 0.0 ||
+           live_.io_in_use + predicted_bw <= options_.io_cap;
+  }
+  void add_io_in_use(double predicted_bw);
   void try_start_jobs();
-  void start_job(const SimJob& job, std::size_t queue_pos);
-  double next_completion_time() const noexcept;
+  void start_job(std::size_t queue_pos);
+  double next_event_time() const noexcept;
   void complete_due_jobs();
   const Running* find_running(std::uint64_t id) const noexcept;
 

@@ -1,17 +1,17 @@
 // IO-aware scheduling — the application PRIONN's predictions enable
-// (sections 1 and 4; mechanism after Herbein et al., HPDC'16). The
-// scheduler tracks a parallel-filesystem bandwidth budget alongside the
-// node budget: a job only starts when both its nodes AND its *predicted*
-// IO bandwidth fit. Decisions use predictions; outcomes (the realised
-// aggregate IO) use the actual bandwidths, so the benefit of accurate
-// predictions is measurable: fewer minutes of filesystem over-subscription
-// at a bounded cost in wait time.
+// (sections 1 and 4; mechanism after Herbein et al., HPDC'16). The front
+// end runs a trace through ClusterSimulator with IO admission on: a job
+// only starts when both its nodes AND its *predicted* IO bandwidth fit.
+// Decisions use predictions; outcomes (the realised aggregate IO) use the
+// actual bandwidths, so the benefit of accurate predictions is
+// measurable: fewer minutes of filesystem over-subscription at a bounded
+// cost in wait time.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "sched/cluster.hpp"
 #include "sched/sim_job.hpp"
 
 namespace prionn::sched {
@@ -22,17 +22,9 @@ struct IoSimJob {
   double actual_bandwidth = 0.0;     // bytes/s, drives the outcome metrics
 };
 
-struct IoAwareOptions {
-  std::uint32_t total_nodes = 1296;
-  /// Aggregate filesystem budget used for admission (0 disables
-  /// IO-awareness, reducing the policy to FCFS + EASY backfill).
-  double io_cap = 0.0;
-  bool easy_backfill = true;
-  /// Upper bound on how long IO admission may hold back the queue head
-  /// before it is started anyway (avoids starvation when one job's
-  /// predicted IO alone exceeds the cap). Seconds.
-  double max_io_hold = 4.0 * 3600.0;
-};
+/// Node count, IO cap (0 disables IO-awareness, reducing the policy to
+/// FCFS + EASY backfill) and the longest IO hold of the queue head.
+using IoAwareOptions = ClusterOptions;
 
 struct IoAwareResult {
   std::vector<ScheduledJob> schedule;  // completion order
@@ -47,40 +39,18 @@ struct IoAwareResult {
 
 class IoAwareSimulator {
  public:
-  explicit IoAwareSimulator(IoAwareOptions options = {});
+  explicit IoAwareSimulator(IoAwareOptions options = {}) : fresh_(options) {}
 
-  /// Simulate a full trace (sorted by submit time).
-  IoAwareResult run(const std::vector<IoSimJob>& jobs);
+  /// Simulate a full trace (sorted by submit time; ids unique) on a fresh
+  /// cluster. Adds the number of jobs to
+  /// `prionn_sched_jobs_started_total`.
+  IoAwareResult run(const std::vector<IoSimJob>& jobs) const;
 
  private:
-  struct Running {
-    std::uint64_t id = 0;
-    std::uint32_t nodes = 1;
-    double predicted_bw = 0.0;
-    double actual_bw = 0.0;
-    double start = 0.0;
-    double submit = 0.0;
-    double actual_end = 0.0;
-    double believed_end = 0.0;
-  };
-
-  bool io_fits(double candidate_bw) const noexcept;
-  void try_start_jobs();
-  void start_job(std::size_t queue_pos);
-  double next_completion() const noexcept;
-  void advance_to(double time);
-
-  IoAwareOptions options_;
-  double now_ = 0.0;
-  std::uint32_t free_nodes_;
-  double predicted_io_in_use_ = 0.0;
-  std::vector<Running> running_;
-  std::deque<IoSimJob> queue_;
-  double head_waiting_since_ = -1.0;
-  std::vector<ScheduledJob> completed_;
+  ClusterSimulator fresh_;  // validated options, nothing submitted
 };
 
-/// Convenience: realised IO series + over-cap minutes for a schedule.
+/// Number of minutes in `series` whose aggregate IO exceeds `cap`.
 std::size_t count_over_cap_minutes(const std::vector<double>& series,
                                    double cap) noexcept;
 

@@ -727,4 +727,24 @@ TEST(Pipeline, UncontendedTurnaroundEvalReplaysNothing) {
   EXPECT_EQ(steps.value(), before);
   for (const auto& s : eval.schedule) ASSERT_EQ(s.wait(), 0.0) << s.id;
 }
+
+TEST(Pipeline, TurnaroundEvalLeavesIoSchedulerCountersAlone) {
+  // The IO scheduler's counters count its own dispatches and holds: the
+  // base simulation and the snapshot replays of evaluate_turnaround add
+  // to neither.
+  auto& registry = prionn::obs::registry();
+  auto& steps = registry.counter("prionn_sched_snapshot_replay_steps_total");
+  auto& started = registry.counter("prionn_sched_jobs_started_total");
+  auto& holds = registry.counter("prionn_sched_io_holds_total");
+  const auto jobs = machine_jobs(600, 1, 48, 0.9);
+  core::Phase2Options opts;
+  opts.cluster.total_nodes = 48;
+  const std::uint64_t steps_before = steps.value();
+  const std::uint64_t started_before = started.value();
+  const std::uint64_t holds_before = holds.value();
+  core::evaluate_turnaround(jobs, noisy_predictions(jobs, 1), opts);
+  EXPECT_GT(steps.value(), steps_before);  // queued targets were replayed
+  EXPECT_EQ(started.value(), started_before);
+  EXPECT_EQ(holds.value(), holds_before);
+}
 #endif  // PRIONN_OBS_ENABLED

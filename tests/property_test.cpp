@@ -207,7 +207,7 @@ TEST_P(SchedulerConservation, WorkAndJobCountConserved) {
     node_seconds += j.nodes * std::max(j.runtime, 1.0);
     jobs.push_back(j);
   }
-  prionn::sched::ClusterSimulator sim({12, true});
+  prionn::sched::ClusterSimulator sim({12});
   const auto schedule = sim.run(jobs);
   ASSERT_EQ(schedule.size(), jobs.size());  // every job completes once
   // Work conservation: the makespan cannot beat perfect packing.
