@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "core/online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -33,24 +33,25 @@ int main(int argc, char** argv) {
       core::Transform::kBinary, core::Transform::kSimple,
       core::Transform::kOneHot, core::Transform::kWord2Vec};
   for (const auto t : transforms) {
-    core::OnlineOptions opts;
-    opts.predictor.image.transform = t;
-    opts.predictor.model = core::ModelKind::kCnn2d;
-    opts.predictor.epochs = epochs;
-    opts.predictor.predict_io = false;
-    opts.train_window = 400;
-    core::OnlineTrainer trainer(opts);
-    const auto result = trainer.run(jobs);
+    core::serve::SessionOptions opts;
+    opts.service.predictor.image.transform = t;
+    opts.service.predictor.model = core::ModelKind::kCnn2d;
+    opts.service.predictor.epochs = epochs;
+    opts.service.predictor.predict_io = false;
+    opts.service.protocol.train_window = 400;
+    const auto result = core::serve::ServingSession(opts).replay(jobs);
+    const auto predictions = result.nn_predictions();
     std::vector<double> acc;
-    for (const std::size_t i : result.predicted_indices())
-      acc.push_back(util::relative_accuracy(
-          jobs[i].runtime_minutes,
-          result.predictions[i]->runtime_minutes));
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      if (predictions[i])
+        acc.push_back(util::relative_accuracy(
+            jobs[i].runtime_minutes, predictions[i]->runtime_minutes));
     table.add_row({std::string(core::transform_name(t)),
                    bench::accuracy_row(acc)});
     std::printf("  done: %-9s (%zu retrainings, %.0fs training)\n",
                 std::string(core::transform_name(t)).c_str(),
-                result.training_events, result.train_seconds);
+                result.training_events,
+                static_cast<double>(result.retrain_ns) / 1e9);
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("\nexpected shape: word2vec has the highest mean/median\n");

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "core/online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -33,23 +33,24 @@ int main(int argc, char** argv) {
                                    core::ModelKind::kCnn1d,
                                    core::ModelKind::kCnn2d};
   for (const auto kind : kinds) {
-    core::OnlineOptions opts;
-    opts.predictor.image.transform = core::Transform::kWord2Vec;
-    opts.predictor.model = kind;
-    opts.predictor.epochs = epochs;
-    opts.predictor.predict_io = false;
-    core::OnlineTrainer trainer(opts);
-    const auto result = trainer.run(jobs);
+    core::serve::SessionOptions opts;
+    opts.service.predictor.image.transform = core::Transform::kWord2Vec;
+    opts.service.predictor.model = kind;
+    opts.service.predictor.epochs = epochs;
+    opts.service.predictor.predict_io = false;
+    const auto result = core::serve::ServingSession(opts).replay(jobs);
+    const auto predictions = result.nn_predictions();
     std::vector<double> acc;
-    for (const std::size_t i : result.predicted_indices())
-      acc.push_back(util::relative_accuracy(
-          jobs[i].runtime_minutes,
-          result.predictions[i]->runtime_minutes));
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      if (predictions[i])
+        acc.push_back(util::relative_accuracy(
+            jobs[i].runtime_minutes, predictions[i]->runtime_minutes));
     table.add_row({std::string(core::model_name(kind)),
                    bench::accuracy_row(acc)});
     std::printf("  done: %-7s (%zu retrainings, %.0fs training)\n",
                 std::string(core::model_name(kind)).c_str(),
-                result.training_events, result.train_seconds);
+                result.training_events,
+                static_cast<double>(result.retrain_ns) / 1e9);
   }
   std::printf("%s", table.to_string().c_str());
   std::printf("\nexpected shape: 2D-CNN ~ NN > 1D-CNN\n");

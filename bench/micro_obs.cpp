@@ -12,6 +12,8 @@
 //   ./build/bench/micro_obs
 #include <cstdio>
 #include <cstdlib>
+#include <span>
+#include <string>
 
 #include "core/predictor.hpp"
 #include "obs/obs.hpp"
@@ -22,8 +24,7 @@ using namespace prionn;
 
 namespace {
 
-// Keep the measured loops from being optimized away without pulling in
-// google-benchmark (this binary needs a plain exit status for ctest).
+// Keep the measured loops from being optimized away.
 inline void clobber() { asm volatile("" ::: "memory"); }
 
 template <typename Fn>
@@ -80,8 +81,9 @@ int main() {
   obs::set_enabled(false);
   constexpr std::size_t kPredicts = 500;
   volatile double sink = 0.0;
+  const std::span<const std::string> script(&jobs[0].script, 1);
   const double predict_ns = ns_per_op(kPredicts, [&] {
-    sink = predictor.predict(jobs[0].script).runtime_minutes;
+    sink = predictor.predict_batch(script).front().value.runtime_minutes;
   });
   static_cast<void>(sink);
   obs::set_enabled(true);

@@ -1,19 +1,19 @@
 // Serving subsystem gate. Two phases:
 //
-//   A. Correctness + throughput — replays the same trace through the
-//      sequential serving path (ResilientOnlineTrainer: fallback chain +
-//      snapshot + baseline refit per retrain, i.e. the same work the
-//      service does) and through the PredictionService twice:
-//      deterministic mode must be prediction-for-prediction AND
-//      provenance-for-provenance identical to the sequential replay
-//      (batching and the encoding cache may change the wall clock, never
-//      the arithmetic); concurrent mode — the service as deployed, with
-//      retraining overlapped behind serving — carries the throughput
-//      gate, since submissions there never wait for a training event.
-//      A background retrain outlasts the whole replay, so the concurrent
-//      service is first trained on a warm-up replay of another trace;
-//      it must then serve at least the sequential path's NN-served
-//      fraction, or its throughput would not see the NN serving path.
+//   A. Correctness + throughput — replays the same trace through three
+//      sessions. Two run the deterministic mode: one as configured
+//      (micro-batching and the encoding cache on), one answering each job
+//      with its own forward pass and no cache. They must agree
+//      prediction-for-prediction AND provenance-for-provenance (batching
+//      and the cache may change the wall clock, never the arithmetic).
+//      The first is the throughput baseline. The third runs the
+//      concurrent mode — the service as deployed, with retraining
+//      overlapped behind serving — and carries the throughput gate, since
+//      submissions there never wait for a training event. A background
+//      retrain outlasts the whole replay, so the concurrent service is
+//      first trained on a warm-up replay of another trace; it must then
+//      serve at least the baseline's NN-served fraction, or its
+//      throughput would not see the NN serving path.
 //
 //   B. Tail latency under retrain — runs the service in concurrent mode
 //      and measures closed-loop submit latency while a background retrain
@@ -22,8 +22,8 @@
 //      asserts p99-during-retrain stays within 2x of p99-idle (the whole
 //      point of the subsystem — a blocking design is ~1000x).
 //
-// A plain binary (no google-benchmark) so its exit status can act as a
-// ctest gate; assertions arm only in unsanitized builds, like micro_obs.
+// Its exit status acts as a ctest gate; assertions arm only in
+// unsanitized builds, like micro_obs.
 //
 //   ./build/bench/micro_serve [--jobs=N] [--epochs=N]
 #include <algorithm>
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/resilient_online.hpp"
 #include "core/serve/serving_session.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
@@ -89,33 +88,28 @@ int main(int argc, char** argv) {
   jobs.resize(std::min(jobs.size(), n_jobs));
 
   // --- Phase A: throughput, bit-identical replays --------------------
-  core::ResilientOptions resilient;
-  static_cast<core::OnlineProtocolOptions&>(resilient.online) =
-      bench_protocol();
-  resilient.online.predictor = bench_predictor(epochs);
-
-  util::Timer sequential_timer;
-  const auto sequential = core::ResilientOnlineTrainer(resilient).run(jobs);
-  const double sequential_s = sequential_timer.seconds();
-
   serve::SessionOptions session_options;
   session_options.service.predictor = bench_predictor(epochs);
   session_options.service.protocol = bench_protocol();
   session_options.mode = serve::ReplayMode::kDeterministic;
-  serve::ServingSession session(session_options);
-  const auto served = session.replay(jobs);
+  const auto served = serve::ServingSession(session_options).replay(jobs);
   const double service_s = static_cast<double>(served.replay_ns) / 1e9;
 
-  // Bit-exact equivalence: value AND provenance must match the
-  // sequential serving path on every job.
+  serve::SessionOptions unbatched_options = session_options;
+  unbatched_options.service.batching.max_batch = 1;
+  unbatched_options.service.encoding_cache_capacity = 0;
+  const auto unbatched =
+      serve::ServingSession(unbatched_options).replay(jobs);
+
+  // Bit-exact equivalence: value AND provenance must match on every job.
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& seq = sequential.predictions[i];
-    const auto& svc = served.predictions[i];
-    if (!seq || seq->source != svc.source ||
-        seq->value.runtime_minutes != svc.value.runtime_minutes ||
-        seq->value.bytes_read != svc.value.bytes_read ||
-        seq->value.bytes_written != svc.value.bytes_written)
+    const auto& a = served.predictions[i];
+    const auto& b = unbatched.predictions[i];
+    if (!a || !b || a->source != b->source ||
+        a->value.runtime_minutes != b->value.runtime_minutes ||
+        a->value.bytes_read != b->value.bytes_read ||
+        a->value.bytes_written != b->value.bytes_written)
       ++mismatches;
   }
 
@@ -140,36 +134,40 @@ int main(int argc, char** argv) {
   const auto overlapped = concurrent_session.replay(jobs);
   const double overlapped_s =
       static_cast<double>(overlapped.replay_ns) / 1e9;
-  const std::size_t sequential_nn = sequential.source_counts()[0];
-  std::size_t overlapped_nn = 0;
-  for (const auto& p : overlapped.predictions)
-    if (p.source == core::PredictionSource::kNeuralNet) ++overlapped_nn;
+  const auto nn_served = [](const serve::SessionResult& result) {
+    std::size_t n = 0;
+    for (const auto& p : result.predictions)
+      if (p && p->source == core::PredictionSource::kNeuralNet) ++n;
+    return n;
+  };
+  const std::size_t served_nn = nn_served(served);
+  const std::size_t overlapped_nn = nn_served(overlapped);
 
-  const double sequential_rate =
-      static_cast<double>(jobs.size()) / sequential_s;
   const double service_rate = static_cast<double>(jobs.size()) / service_s;
+  const double unbatched_s = static_cast<double>(unbatched.replay_ns) / 1e9;
+  const double unbatched_rate =
+      static_cast<double>(jobs.size()) / unbatched_s;
   const double overlapped_rate =
       static_cast<double>(jobs.size()) / overlapped_s;
   std::printf("phase A: replay of %zu jobs\n", jobs.size());
-  std::printf("  sequential serving path   %7.2fs  %8.1f jobs/s  "
-              "(%zu retrains, %zu/%zu NN-served)\n",
-              sequential_s, sequential_rate, sequential.training_events,
-              sequential_nn, jobs.size());
   std::printf("  service, deterministic    %7.2fs  %8.1f jobs/s  "
               "(%zu retrains, mean batch %.1f, cache hits %.0f%%, "
-              "mismatches %zu)\n",
+              "%zu/%zu NN-served)\n",
               service_s, service_rate, served.training_events,
               served.stats.mean_batch_size(),
               100.0 * static_cast<double>(served.stats.cache_hits) /
                   static_cast<double>(std::max<std::uint64_t>(
                       1, served.stats.cache_hits +
                              served.stats.cache_misses)),
-              mismatches);
+              served_nn, jobs.size());
+  std::printf("  batch 1, no cache         %7.2fs  %8.1f jobs/s  "
+              "(deterministic; mismatches %zu)\n",
+              unbatched_s, unbatched_rate, mismatches);
   std::printf("  service, concurrent       %7.2fs  %8.1f jobs/s  "
-              "(%.2fx sequential, %zu retrains overlapped after %zu in "
+              "(%.2fx deterministic, %zu retrains overlapped after %zu in "
               "warm-up, %zu/%zu NN-served)\n",
               overlapped_s, overlapped_rate,
-              overlapped_rate / sequential_rate,
+              overlapped_rate / service_rate,
               overlapped.training_events - warmup_retrains, warmup_retrains,
               overlapped_nn, jobs.size());
 
@@ -228,24 +226,24 @@ int main(int argc, char** argv) {
   bool ok = true;
   if (mismatches != 0) {
     std::fprintf(stderr,
-                 "FAIL: deterministic replay diverged from the sequential "
-                 "trainer on %zu jobs\n",
+                 "FAIL: the batched, cached deterministic replay diverged "
+                 "from the one-job-per-batch, uncached one on %zu jobs\n",
                  mismatches);
     ok = false;
   }
-  if (overlapped_nn < sequential_nn) {
+  if (overlapped_nn < served_nn) {
     std::fprintf(stderr,
                  "FAIL: concurrent replay served %zu answers from the NN, "
-                 "fewer than the sequential replay's %zu, so its "
+                 "fewer than the deterministic replay's %zu, so its "
                  "throughput does not measure the NN serving path\n",
-                 overlapped_nn, sequential_nn);
+                 overlapped_nn, served_nn);
     ok = false;
   }
-  if (overlapped_rate < sequential_rate) {
+  if (overlapped_rate < service_rate) {
     std::fprintf(stderr,
                  "FAIL: concurrent service throughput %.1f jobs/s below "
-                 "the sequential replay's %.1f jobs/s\n",
-                 overlapped_rate, sequential_rate);
+                 "the deterministic replay's %.1f jobs/s\n",
+                 overlapped_rate, service_rate);
     ok = false;
   }
   if (retrain_ns.size() >= kMinSamples && idle_ns.size() >= kMinSamples &&
@@ -257,7 +255,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (!ok) return 1;
-  std::printf("PASS: bit-exact replay, throughput >= sequential at no "
+  std::printf("PASS: bit-exact replay, throughput >= deterministic at no "
               "smaller NN-served fraction, retrain p99 within 2x idle\n");
 #else
   std::printf("note: gate assertions skipped (sanitized build)\n");

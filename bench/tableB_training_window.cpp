@@ -59,11 +59,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> scripts;
     for (std::size_t i = test_begin; i < jobs.size(); ++i)
       scripts.push_back(jobs[i].script);
-    const auto preds = predictor.predict(scripts);
+    const auto preds = predictor.predict_batch(scripts);
     std::vector<double> acc;
     for (std::size_t k = 0; k < preds.size(); ++k)
       acc.push_back(util::relative_accuracy(
-          jobs[test_begin + k].runtime_minutes, preds[k].runtime_minutes));
+          jobs[test_begin + k].runtime_minutes,
+          preds[k].value.runtime_minutes));
     table.add_row({std::to_string(window), util::fmt(seconds, 2),
                    util::fmt(100.0 * util::mean(acc), 1) + "%",
                    util::fmt(100.0 * util::median(acc), 1) + "%"});

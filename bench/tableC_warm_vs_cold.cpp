@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "core/online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -18,17 +18,18 @@ namespace {
 
 std::vector<double> run_protocol(const std::vector<trace::JobRecord>& jobs,
                                  std::size_t epochs, bool reinitialize) {
-  core::OnlineOptions opts;
-  opts.predictor.image.transform = core::Transform::kWord2Vec;
-  opts.predictor.epochs = epochs;
-  opts.predictor.predict_io = false;
-  opts.reinitialize_on_retrain = reinitialize;
-  core::OnlineTrainer trainer(opts);
-  const auto result = trainer.run(jobs);
+  core::serve::SessionOptions opts;
+  opts.service.predictor.image.transform = core::Transform::kWord2Vec;
+  opts.service.predictor.epochs = epochs;
+  opts.service.predictor.predict_io = false;
+  opts.service.reinitialize_on_retrain = reinitialize;
+  const auto predictions =
+      core::serve::ServingSession(opts).replay(jobs).nn_predictions();
   std::vector<double> acc;
-  for (const std::size_t i : result.predicted_indices())
-    acc.push_back(util::relative_accuracy(
-        jobs[i].runtime_minutes, result.predictions[i]->runtime_minutes));
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (predictions[i])
+      acc.push_back(util::relative_accuracy(jobs[i].runtime_minutes,
+                                            predictions[i]->runtime_minutes));
   return acc;
 }
 

@@ -7,8 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/online.hpp"
 #include "core/pipeline.hpp"
+#include "core/serve/serving_session.hpp"
 #include "util/stats.hpp"
 
 #include "trace/workload.hpp"
@@ -26,24 +26,24 @@ int main(int argc, char** argv) {
   trace::WorkloadGenerator generator(trace::WorkloadOptions::cab(n_jobs));
   const auto jobs = trace::completed_jobs(generator.generate());
 
-  core::OnlineOptions options;
-  options.predictor.image.transform = core::Transform::kWord2Vec;
-  options.predictor.epochs = epochs;
-  options.predictor.predict_io = true;
-  core::OnlineTrainer trainer(options);
-  const auto online = trainer.run(jobs);
+  core::serve::SessionOptions options;
+  options.service.predictor.image.transform = core::Transform::kWord2Vec;
+  options.service.predictor.epochs = epochs;
+  options.service.predictor.predict_io = true;
+  const auto online = core::serve::ServingSession(options).replay(jobs);
+  const auto nn = online.nn_predictions();
 
   std::vector<core::JobPrediction> predictions(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (online.predictions[i]) {
-      predictions[i] = *online.predictions[i];
+    if (nn[i]) {
+      predictions[i] = *nn[i];
     } else {
       predictions[i].runtime_minutes = jobs[i].requested_minutes;
       predictions[i].bytes_read = predictions[i].bytes_written = 1e6;
     }
   }
   std::printf("  %zu training events, %.0fs\n", online.training_events,
-              online.train_seconds);
+              static_cast<double>(online.retrain_ns) / 1e9);
 
   // --- Phase 2: snapshot turnaround + system IO forecast. -------------
   std::printf("phase 2: simulating the cluster and forecasting IO...\n");

@@ -6,9 +6,8 @@
 //   cmake --build build && ./build/examples/quickstart [jobs]
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 
-#include "core/online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "trace/stats.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
@@ -34,23 +33,29 @@ int main(int argc, char** argv) {
               100.0 * summary.user_request_mean_relative_accuracy);
 
   // 2. Run the online protocol: predict at submission, retrain every 100
-  //    submissions on the 500 most recent completions (warm start).
-  core::OnlineOptions options;
-  options.predictor.image.transform = core::Transform::kWord2Vec;
-  options.predictor.model = core::ModelKind::kCnn2d;
-  options.predictor.preset = core::ModelPreset::kFast;
-  options.predictor.epochs = 6;
-  core::OnlineTrainer trainer(options);
-  const auto result = trainer.run(jobs);
+  //    submissions on the 500 most recent completions (warm start). The
+  //    deterministic session retrains at exactly those submissions.
+  core::serve::SessionOptions options;
+  options.service.predictor.image.transform = core::Transform::kWord2Vec;
+  options.service.predictor.model = core::ModelKind::kCnn2d;
+  options.service.predictor.preset = core::ModelPreset::kFast;
+  options.service.predictor.epochs = 6;
+  core::serve::ServingSession session(options);
+  const auto result = session.replay(jobs);
+  const double replay_s = static_cast<double>(result.replay_ns) / 1e9;
+  const double retrain_s = static_cast<double>(result.retrain_ns) / 1e9;
   std::printf("\nonline protocol: %zu training events, %.1fs training, "
-              "%.1fs predicting\n",
-              result.training_events, result.train_seconds,
-              result.predict_seconds);
+              "%.1fs serving\n",
+              result.training_events, retrain_s, replay_s - retrain_s);
 
-  // 3. Score runtime and IO predictions with the paper's relative accuracy.
+  // 3. Score the neural net's runtime and IO predictions with the paper's
+  //    relative accuracy (the fallback chain answers before the first
+  //    training event).
+  const auto predictions = result.nn_predictions();
   std::vector<double> runtime_acc, read_acc, write_acc;
-  for (const std::size_t i : result.predicted_indices()) {
-    const auto& p = *result.predictions[i];
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (!predictions[i]) continue;
+    const auto& p = *predictions[i];
     runtime_acc.push_back(
         util::relative_accuracy(jobs[i].runtime_minutes, p.runtime_minutes));
     read_acc.push_back(util::relative_accuracy(jobs[i].read_bandwidth(),
@@ -67,21 +72,17 @@ int main(int argc, char** argv) {
   std::printf("write bw accuracy:  mean %.1f%%, median %.1f%%\n",
               100.0 * util::mean(write_acc), 100.0 * util::median(write_acc));
 
-  // 4. Predict a few more jobs with the trained model. predict_batch is
-  //    THE inference path — one forward pass per head for the whole
-  //    span, with per-head confidence alongside each value.
-  std::vector<std::string> scripts;
-  for (std::size_t i = jobs.size() - 3; i < jobs.size(); ++i)
-    scripts.push_back(jobs[i].script);
-  const auto batch = trainer.predictor().predict_batch(
-      std::span<const std::string>(scripts));
+  // 4. Keep serving: the session's service answers new submissions with
+  //    the model the replay left live, with provenance and the runtime
+  //    head's confidence.
   std::printf("\n");
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const auto& job = jobs[jobs.size() - 3 + k];
-    std::printf("job %s: actual %.0f min, predicted %.0f min "
+  for (std::size_t i = jobs.size() - 3; i < jobs.size(); ++i) {
+    const auto p = session.service().predict_now(jobs[i]);
+    std::printf("job %s: actual %.0f min, predicted %.0f min by the %s "
                 "(confidence %.2f)\n",
-                job.job_name.c_str(), job.runtime_minutes,
-                batch[k].value.runtime_minutes, batch[k].runtime_confidence);
+                jobs[i].job_name.c_str(), jobs[i].runtime_minutes,
+                p.value.runtime_minutes, core::prediction_source_name(p.source),
+                p.confidence);
   }
   return 0;
 }

@@ -1,9 +1,10 @@
-// Resilient serving demo: stream a synthetic job queue through the
-// hardened online protocol while the fault harness injects every failure
-// class at once — NaN-poisoned retrains, torn checkpoint writes, garbage
-// trace rows. The run must not abort: divergent retrains roll back,
-// damaged checkpoints fall back to the last-good generation, and every
-// job still receives a prediction with provenance.
+// Resilient serving demo: stream a synthetic job queue through a
+// checkpointed deterministic serving session while the fault harness
+// injects every failure class at once — NaN-poisoned retrains, torn
+// checkpoint writes, garbage trace rows. The run must not abort: divergent
+// retrains are discarded while the last good model keeps serving, damaged
+// checkpoints fall back to the last-good generation, and every job still
+// receives a prediction with provenance.
 //
 // The run is fully instrumented: it ends with a telemetry summary table
 // read back from the metrics registry and exports the whole telemetry
@@ -17,7 +18,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/resilient_online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "obs/obs.hpp"
 #include "trace/store.hpp"
 #include "trace/workload.hpp"
@@ -82,13 +83,14 @@ int main(int argc, char** argv) {
   std::filesystem::remove(checkpoint);
   std::filesystem::remove(checkpoint + ".last-good");
 
-  core::ResilientOptions options;
-  options.online.predictor.image.rows = 32;
-  options.online.predictor.image.cols = 32;
-  options.online.predictor.image.transform = core::Transform::kSimple;
-  options.online.predictor.epochs = 3;
-  options.online.predictor.runtime_bins = 96;
-  options.online.predictor.predict_io = false;
+  core::serve::SessionOptions options;
+  core::PredictorOptions& predictor = options.service.predictor;
+  predictor.image.rows = 32;
+  predictor.image.cols = 32;
+  predictor.image.transform = core::Transform::kSimple;
+  predictor.epochs = 3;
+  predictor.runtime_bins = 96;
+  predictor.predict_io = false;
   options.checkpoint_path = checkpoint;
 
   // Deterministic fault schedule: the 2nd retrain is NaN-poisoned, the
@@ -103,17 +105,19 @@ int main(int argc, char** argv) {
   std::printf("serving %zu submissions with faults armed (seed %llu)...\n",
               jobs.size(),
               static_cast<unsigned long long>(fault_seed));
-  core::ResilientOnlineTrainer trainer(options);
-  const auto result = trainer.run(jobs);
+  const auto result = core::serve::ServingSession(options).replay(jobs);
 
-  const auto counts = result.source_counts();
-  std::printf("\n%zu accepted training events, %zu rejected retrains "
-              "(%zu rollbacks)\n",
-              result.training_events, result.rejected_retrains,
-              result.rollbacks);
-  std::printf("provenance: %zu neural-net, %zu random-forest, %zu "
+  const auto& counts = result.stats.source_counts;
+  std::printf("\n%zu accepted training events, %llu rejected retrains "
+              "(discarded; the live model kept serving)\n",
+              result.training_events,
+              static_cast<unsigned long long>(
+                  result.stats.rejected_retrains));
+  std::printf("provenance: %llu neural-net, %llu random-forest, %llu "
               "requested-runtime\n",
-              counts[0], counts[1], counts[2]);
+              static_cast<unsigned long long>(counts[0]),
+              static_cast<unsigned long long>(counts[1]),
+              static_cast<unsigned long long>(counts[2]));
 
   std::vector<double> nn_acc;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -141,7 +145,7 @@ int main(int argc, char** argv) {
     std::printf("\n(telemetry compiled out: PRIONN_OBS=OFF — the summary "
                 "below reads as zeros)\n");
   auto& predict_latency =
-      obs::registry().latency("prionn_predict_latency_ns");
+      obs::registry().latency("prionn_serve_submit_latency_ns");
   util::Table table({"telemetry", "value"});
   table.add_row({"predictions served",
                  count_of("prionn_predictions_total")});
@@ -161,9 +165,9 @@ int main(int argc, char** argv) {
                  count_of("prionn_trace_rows_total")});
   table.add_row({"trace rows quarantined",
                  count_of("prionn_quarantined_rows_total")});
-  table.add_row({"predict latency p50 (us)",
+  table.add_row({"submit latency p50 (us)",
                  util::fmt(predict_latency.quantile(0.5) / 1e3, 1)});
-  table.add_row({"predict latency p99 (us)",
+  table.add_row({"submit latency p99 (us)",
                  util::fmt(predict_latency.quantile(0.99) / 1e3, 1)});
   std::printf("\n%s", table.to_string().c_str());
 

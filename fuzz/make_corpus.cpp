@@ -64,7 +64,7 @@ std::vector<std::string> checkpoint_seeds() {
   state.submissions_since_train = 3;
   std::ostringstream os(std::ios::binary);
   prionn::core::write_checkpoint(
-      os, prionn::core::encode_checkpoint(predictor, state));
+      os, prionn::core::encode_checkpoint(predictor.snapshot(), state));
   seeds.push_back(std::move(os).str());
   return seeds;
 }

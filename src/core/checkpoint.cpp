@@ -87,10 +87,11 @@ std::string read_checkpoint(std::istream& is) {
   return payload;
 }
 
-std::string encode_checkpoint(const PrionnPredictor& predictor,
+std::string encode_checkpoint(std::string_view predictor_bytes,
                               const OnlineCheckpointState& state) {
   std::ostringstream os(std::ios::binary);
-  predictor.save(os);
+  os.write(predictor_bytes.data(),
+           static_cast<std::streamsize>(predictor_bytes.size()));
   write_raw(os, state.next_index);
   write_raw(os, state.submissions_since_train);
   write_raw(os, static_cast<std::uint8_t>(state.embedding_ready ? 1 : 0));
@@ -121,14 +122,14 @@ std::string last_good_path(const std::string& path) {
 }
 
 void write_checkpoint_file(const std::string& path,
-                           const PrionnPredictor& predictor,
+                           std::string_view predictor_bytes,
                            const OnlineCheckpointState& state) {
   PRIONN_OBS_SPAN("checkpoint.write");
   PRIONN_OBS_TIME("prionn_checkpoint_write_latency_ns",
                   "durable checkpoint write incl. last-good rotation");
   PRIONN_OBS_INC("prionn_checkpoint_writes_total",
                  "durable checkpoint generations written");
-  const std::string payload = encode_checkpoint(predictor, state);
+  const std::string payload = encode_checkpoint(predictor_bytes, state);
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);

@@ -1,6 +1,6 @@
 // Crash-safe checkpointing for the online serving loop. A checkpoint is a
 // versioned, CRC-protected frame around the full predictor state plus the
-// online-trainer cursor, written with the classic temp-file + atomic-rename
+// replay cursor, written with the classic temp-file + atomic-rename
 // dance and a retained `<path>.last-good` generation:
 //
 //   magic "PRCK" (u32) | format version (u32) | payload size (u64)
@@ -52,8 +52,9 @@ void write_checkpoint(std::ostream& os, std::string_view payload);
 /// Unframe and verify; throws CheckpointError on any damage.
 std::string read_checkpoint(std::istream& is);
 
-/// Serialise predictor + cursor into a checkpoint payload.
-std::string encode_checkpoint(const PrionnPredictor& predictor,
+/// Serialise a predictor's save() bytes (PrionnPredictor::snapshot())
+/// and the cursor into a checkpoint payload.
+std::string encode_checkpoint(std::string_view predictor_bytes,
                               const OnlineCheckpointState& state);
 
 struct DecodedCheckpoint {
@@ -74,7 +75,7 @@ std::string last_good_path(const std::string& path);
 /// *after* the rename (modelling a torn write on a non-atomic filesystem),
 /// which is exactly the case the last-good fallback exists for.
 void write_checkpoint_file(const std::string& path,
-                           const PrionnPredictor& predictor,
+                           std::string_view predictor_bytes,
                            const OnlineCheckpointState& state);
 
 /// Strict single-file read; throws CheckpointError / std::runtime_error.

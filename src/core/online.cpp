@@ -7,7 +7,6 @@
 
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
-#include "util/timer.hpp"
 
 namespace prionn::core {
 
@@ -167,80 +166,6 @@ obs::RetrainEvent attempt_retrain(PrionnPredictor& model,
                    "discarded (the pre-attempt model keeps serving)");
   }
   return event;
-}
-
-
-std::vector<std::size_t> OnlineResult::predicted_indices() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < predictions.size(); ++i)
-    if (predictions[i]) out.push_back(i);
-  return out;
-}
-
-OnlineTrainer::OnlineTrainer(OnlineOptions options)
-    : options_(options), predictor_(options.predictor) {
-  options_.validate("OnlineTrainer");
-}
-
-OnlineResult OnlineTrainer::run(const std::vector<trace::JobRecord>& jobs) {
-  OnlineResult result;
-  result.predictions.assign(jobs.size(), std::nullopt);
-  CompletionFeed feed(jobs);
-  RetrainCadence cadence(options_);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& job = jobs[i];
-    feed.advance(job.submit_time);
-
-    if (cadence.due(feed.completed().size())) {
-      cadence.start_attempt();
-      if (options_.reinitialize_on_retrain && predictor_.trained()) {
-        // Cold-start ablation: throw the learned weights away but keep the
-        // corpus-trained embedding, which the paper also fits once.
-        auto embedding = predictor_.mapper().embedding();
-        predictor_ = PrionnPredictor(options_.predictor);
-        predictor_.set_embedding(std::move(embedding));
-      }
-      const auto recent = feed.recent(
-          options_.retrain_records(predictor_, feed.completed().size()));
-      {
-        PRIONN_OBS_SPAN("online.retrain");
-        const std::uint64_t t0 = util::Timer::now_ns();
-        fit_missing_embedding(predictor_, recent, options_);
-        predictor_.train(training_window(recent, options_));
-        result.train_ns += util::Timer::now_ns() - t0;
-      }
-      PRIONN_OBS_INC("prionn_retrains_total",
-                     "training events of the online protocol");
-      cadence.finish_attempt(true);
-      ++result.training_events;
-    }
-
-    if (predictor_.trained()) {
-      const std::uint64_t t0 = util::Timer::now_ns();
-      result.predictions[i] =
-          predictor_.predict_batch(std::span<const std::string>(&job.script, 1))
-              .front()
-              .value;
-      const std::uint64_t elapsed_ns = util::Timer::now_ns() - t0;
-      result.predict_ns += elapsed_ns;
-      PRIONN_OBS_INC("prionn_predictions_total",
-                     "predictions served at submission time");
-      PRIONN_OBS_OBSERVE_NS("prionn_predict_latency_ns",
-                            "per-job prediction latency", elapsed_ns);
-    }
-    cadence.count_submission();
-    feed.submit(i);
-  }
-  result.train_seconds = static_cast<double>(result.train_ns) / 1e9;
-  result.predict_seconds = static_cast<double>(result.predict_ns) / 1e9;
-  PRIONN_OBS_GAUGE_SET("prionn_online_train_seconds",
-                       "total monotonic time in training during a replay",
-                       result.train_seconds);
-  PRIONN_OBS_GAUGE_SET("prionn_online_predict_seconds",
-                       "total monotonic time in inference during a replay",
-                       result.predict_seconds);
-  return result;
 }
 
 }  // namespace prionn::core

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
@@ -18,8 +17,9 @@
 namespace prionn::core {
 
 /// The paper's §2.3 protocol parameters, shared by every consumer of the
-/// online cadence: OnlineTrainer, ResilientOnlineTrainer, and the
-/// concurrent serve::PredictionService. One definition, one validation.
+/// online cadence: serve::PredictionService (and so every ServingSession
+/// replay) and the benches' online random-forest baseline. One
+/// definition, one validation.
 struct OnlineProtocolOptions {
   std::size_t retrain_interval = 100;  // submissions between retrains
   std::size_t train_window = 500;      // most recent completions used
@@ -39,8 +39,8 @@ struct OnlineProtocolOptions {
                               std::size_t completions) const;
 };
 
-/// The divergence guards of a retrain attempt, shared by
-/// ResilientOnlineTrainer and serve::PredictionService.
+/// The divergence guards of a retrain attempt, as serve::PredictionService
+/// applies them to every retrain it runs.
 struct RetrainGuards {
   /// Guard 3 of 3 (after the finite-loss check and nn::TrainingDiverged):
   /// runtime-bin top-1 accuracy on a batch held back from the training
@@ -154,47 +154,5 @@ obs::RetrainEvent attempt_retrain(PrionnPredictor& model,
                                   std::span<const trace::JobRecord> recent,
                                   const OnlineProtocolOptions& protocol,
                                   const RetrainGuards& guards);
-
-struct OnlineOptions : OnlineProtocolOptions {
-  PredictorOptions predictor;
-  /// Ablation switch: when true, the model is re-initialised before every
-  /// retraining instead of warm-started. The paper argues warm starts are
-  /// what lets a 500-job window work ("learned parameters pass to
-  /// subsequent models"); this flag lets the claim be measured.
-  bool reinitialize_on_retrain = false;
-};
-
-struct OnlineResult {
-  /// Parallel to the input jobs; nullopt while the model was still
-  /// untrained at that job's submission.
-  std::vector<std::optional<JobPrediction>> predictions;
-  std::size_t training_events = 0;
-  /// Monotonic (steady-clock) totals, accumulated from
-  /// util::Timer::now_ns deltas so an NTP slew mid-replay cannot skew
-  /// them; also exported as prionn_online_{train,predict}_seconds gauges.
-  std::uint64_t train_ns = 0;    // total time in fit_embedding()+train()
-  std::uint64_t predict_ns = 0;  // total time in predict_batch()
-  double train_seconds = 0.0;    // train_ns in seconds, for convenience
-  double predict_seconds = 0.0;  // predict_ns in seconds
-
-  /// Indices of jobs that actually received a prediction.
-  std::vector<std::size_t> predicted_indices() const;
-};
-
-/// Replays a completed-jobs trace (sorted by submit time, canceled jobs
-/// already removed) through the online protocol.
-class OnlineTrainer {
- public:
-  explicit OnlineTrainer(OnlineOptions options = {});
-
-  OnlineResult run(const std::vector<trace::JobRecord>& jobs);
-
-  /// Access the predictor after run() (e.g. for follow-up predictions).
-  PrionnPredictor& predictor() noexcept { return predictor_; }
-
- private:
-  OnlineOptions options_;
-  PrionnPredictor predictor_;
-};
 
 }  // namespace prionn::core

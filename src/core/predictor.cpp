@@ -210,17 +210,6 @@ std::vector<ConfidentPrediction> PrionnPredictor::predict_batch_mapped(
   return out;
 }
 
-JobPrediction PrionnPredictor::predict(const std::string& script) {
-  return predict_batch(std::span<const std::string>(&script, 1))
-      .front()
-      .value;
-}
-
-ConfidentPrediction PrionnPredictor::predict_with_confidence(
-    const std::string& script) {
-  return predict_batch(std::span<const std::string>(&script, 1)).front();
-}
-
 namespace {
 
 constexpr std::uint32_t kPredictorMagic = 0x50524f4e;  // "PRON"
@@ -369,15 +358,6 @@ std::string PrionnPredictor::snapshot() const {
 PrionnPredictor PrionnPredictor::from_snapshot(const std::string& bytes) {
   std::istringstream is(bytes, std::ios::binary);
   return load(is);
-}
-
-std::vector<JobPrediction> PrionnPredictor::predict(
-    const std::vector<std::string>& scripts) {
-  const auto confident = predict_batch(scripts);
-  std::vector<JobPrediction> out(confident.size());
-  for (std::size_t i = 0; i < confident.size(); ++i)
-    out[i] = confident[i].value;
-  return out;
 }
 
 }  // namespace prionn::core

@@ -119,10 +119,10 @@ class PrionnPredictor {
   std::size_t training_events() const noexcept { return training_events_; }
 
   /// THE inference path: one batched forward pass per head over all
-  /// scripts, returning value + per-head confidence for each. Every other
-  /// predict entry point (the single-item wrappers below, both online
-  /// trainers, the fallback chain, the serving subsystem) funnels through
-  /// here, so batched and sequential replay are the same arithmetic.
+  /// scripts, returning value + per-head confidence for each. The
+  /// fallback chain and the serving subsystem funnel through here (or
+  /// through predict_batch_mapped() below), and a sample's answer does
+  /// not depend on the batch it rides in.
   std::vector<ConfidentPrediction> predict_batch(
       std::span<const std::string> scripts);
 
@@ -136,11 +136,6 @@ class PrionnPredictor {
   /// (shape (channels, rows, cols) for the 2-D models, (channels, length)
   /// for 1-D) — the unit the serving encoding cache stores.
   tensor::Tensor map_sample(std::string_view script) const;
-
-  // Thin single-item / value-only wrappers over predict_batch().
-  JobPrediction predict(const std::string& script);
-  std::vector<JobPrediction> predict(const std::vector<std::string>& scripts);
-  ConfidentPrediction predict_with_confidence(const std::string& script);
 
   const PredictorOptions& options() const noexcept { return options_; }
   const ScriptImageMapper& mapper() const;

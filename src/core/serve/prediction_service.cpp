@@ -153,6 +153,30 @@ void PredictionService::flush() {
   }
 }
 
+void PredictionService::resume(DecodedCheckpoint checkpoint) {
+  if (options_.background_retrain)
+    throw std::logic_error(
+        "PredictionService::resume: the background trainer owns the live "
+        "model of this service");
+  auto model =
+      std::make_unique<PrionnPredictor>(std::move(checkpoint.predictor));
+  std::vector<trace::JobRecord> baseline_window;
+  {
+    util::ScopedLock wl(window_mutex_);
+    cadence_.resume(
+        model->trained(),
+        static_cast<std::size_t>(checkpoint.state.submissions_since_train));
+    resumed_submissions_ = checkpoint.state.next_index;
+    const std::size_t n =
+        std::min(options_.protocol.train_window, window_.size());
+    baseline_window.reserve(n);
+    for (auto it = window_.end() - static_cast<std::ptrdiff_t>(n);
+         it != window_.end(); ++it)
+      baseline_window.push_back(**it);
+  }
+  publish(std::move(model), baseline_window, /*new_embedding=*/true);
+}
+
 bool PredictionService::retrain_now() {
   if (options_.background_retrain)
     throw std::logic_error(
@@ -376,7 +400,8 @@ bool PredictionService::run_retrain(bool claimed) {
       return false;
     }
     attempt_id = cadence_.start_attempt();
-    job_index = submitted_.load(std::memory_order_relaxed);
+    job_index =
+        resumed_submissions_ + submitted_.load(std::memory_order_relaxed);
     held.assign(window_.begin(), window_.end());
   }
   retrain_active_.store(true, std::memory_order_relaxed);
@@ -391,6 +416,12 @@ bool PredictionService::run_retrain(bool claimed) {
     shadow = std::make_unique<PrionnPredictor>(
         PrionnPredictor::from_snapshot(live_snapshot_));
   }
+  if (options_.reinitialize_on_retrain && shadow->trained()) {
+    // Cold-restart ablation: fresh weights, the same embedding.
+    auto embedding = shadow->mapper().embedding();
+    *shadow = PrionnPredictor(options_.predictor);
+    shadow->set_embedding(std::move(embedding));
+  }
   const bool fits_embedding = shadow->needs_embedding();
   std::vector<trace::JobRecord> recent;
   const std::size_t reach =
@@ -403,44 +434,9 @@ bool PredictionService::run_retrain(bool claimed) {
 
   obs::RetrainEvent event =
       attempt_retrain(*shadow, recent, options_.protocol, options_.guards);
-  if (event.accepted) {
-    // Refit the fallback baseline on the same window the NN trained on.
-    // The fit runs off the lock, which the batcher and the shed path take
-    // for every fallback answer; a fresh predictor fits exactly what an
-    // in-place refit would (fit_baseline starts from a fresh encoder).
-    // Only the swap runs under the lock; the old baseline is freed after.
-    FallbackPredictor refit(options_.fallback);
-    refit.fit_baseline(training_window(recent, options_.protocol));
-    {
-      util::ScopedLock fl(fallback_mutex_);
-      std::swap(fallback_, refit);
-    }
-    // Publish: serialise the new model for the next retrain, then swap
-    // pointers under the model lock. Readers observe either the old model
-    // or the new one, never a half-trained mix, and block for at most the
-    // swap itself; the old model is freed after the lock.
-    std::string published;
-    {
-      PRIONN_OBS_SPAN("serve.snapshot");
-      published = shadow->snapshot();
-    }
-    std::uint64_t swap_ns = 0;
-    {
-      const std::uint64_t t0 = util::Timer::now_ns();
-      util::ScopedLock ml(model_mutex_);
-      std::swap(live_, shadow);
-      swap_ns = util::Timer::now_ns() - t0;
-    }
-    shadow.reset();
-    live_snapshot_ = std::move(published);
-    PRIONN_OBS_OBSERVE_NS("prionn_serve_swap_latency_ns",
-                          "model publish: pointer swap incl. lock wait",
-                          swap_ns);
-    // The new embedding invalidates cached encodings; the batcher clears
-    // the cache when it observes the bumped epoch.
-    if (fits_embedding)
-      cache_epoch_.fetch_add(1, std::memory_order_release);
-  }
+  if (event.accepted)
+    publish(std::move(shadow), training_window(recent, options_.protocol),
+            fits_embedding);
   // A rejected shadow is simply dropped: the live model IS the
   // pre-attempt model and never stopped serving.
 
@@ -460,6 +456,46 @@ bool PredictionService::run_retrain(bool claimed) {
       static_cast<double>(retrain_timer.elapsed_ns()) / 1e6;
   obs::emit(event);
   return event.accepted;
+}
+
+void PredictionService::publish(
+    std::unique_ptr<PrionnPredictor> model,
+    std::span<const trace::JobRecord> baseline_window, bool new_embedding) {
+  // Refit the fallback baseline on the window the model trained on. The
+  // fit runs off the lock, which the batcher and the shed path take for
+  // every fallback answer; a fresh predictor fits exactly what an
+  // in-place refit would (fit_baseline starts from a fresh encoder).
+  // Only the swap runs under the lock; the old baseline is freed after.
+  if (!baseline_window.empty()) {
+    FallbackPredictor refit(options_.fallback);
+    refit.fit_baseline(baseline_window);
+    util::ScopedLock fl(fallback_mutex_);
+    std::swap(fallback_, refit);
+  }
+  // Serialise the new model for the next retrain, then swap pointers
+  // under the model lock. Readers observe either the old model or the new
+  // one, never a half-trained mix, and block for at most the swap itself;
+  // the old model is freed after the lock.
+  std::string published;
+  {
+    PRIONN_OBS_SPAN("serve.snapshot");
+    published = model->snapshot();
+  }
+  std::uint64_t swap_ns = 0;
+  {
+    const std::uint64_t t0 = util::Timer::now_ns();
+    util::ScopedLock ml(model_mutex_);
+    std::swap(live_, model);
+    swap_ns = util::Timer::now_ns() - t0;
+  }
+  model.reset();
+  live_snapshot_ = std::move(published);
+  PRIONN_OBS_OBSERVE_NS("prionn_serve_swap_latency_ns",
+                        "model publish: pointer swap incl. lock wait",
+                        swap_ns);
+  // A new embedding invalidates cached encodings; the batcher clears the
+  // cache when it observes the bumped epoch.
+  if (new_embedding) cache_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace prionn::core::serve

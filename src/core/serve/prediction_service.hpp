@@ -1,8 +1,8 @@
 // Concurrent serving front-end for the PRIONN predictor: the paper's
 // §2.3 protocol (predict at submission, retrain every retrain_interval
-// submissions on the train_window most recent completions) decoupled
-// from the sequential replay loops so inference never stalls behind a
-// retrain.
+// submissions on the train_window most recent completions), with
+// inference decoupled from training so it never stalls behind a retrain.
+// It is also the one engine every trace replay runs on (ServingSession).
 //
 //   submit() ──► bounded queue ──► batcher thread ──► one batched
 //                                   forward pass per micro-batch
@@ -45,10 +45,12 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/fallback.hpp"
 #include "core/online.hpp"
 #include "core/predictor.hpp"
@@ -72,7 +74,7 @@ struct BatchingOptions {
 
 struct ServiceOptions {
   PredictorOptions predictor;
-  /// Shared §2.3 cadence parameters (same struct the replay trainers use).
+  /// Shared §2.3 cadence parameters.
   OnlineProtocolOptions protocol;
   FallbackOptions fallback;
   BatchingOptions batching;
@@ -82,14 +84,22 @@ struct ServiceOptions {
 
   /// true: a background thread retrains whenever the protocol cadence is
   /// due. false: the owner drives training explicitly via retrain_now()
-  /// — the deterministic replay mode (ServingSession) uses this to stay
-  /// prediction-for-prediction identical to the sequential trainers.
+  /// — the deterministic replay mode (ServingSession) uses this to retrain
+  /// at exactly the submissions the §2.3 cadence names.
   bool background_retrain = true;
 
-  /// Divergence guards, as in ResilientOptions: a rejected retrain is
-  /// discarded and the live model keeps serving; once benched, the
-  /// service degrades to the fallback chain for good.
+  /// Divergence guards: a rejected retrain is discarded and the live
+  /// model keeps serving; once benched, the service degrades to the
+  /// fallback chain for good.
   RetrainGuards guards;
+
+  /// Ablation switch (Table C): every retrain after the first starts from
+  /// freshly initialised weights instead of the live model's, keeping only
+  /// its corpus-fitted embedding (the paper fits that once). The paper
+  /// argues warm starts are what lets a 500-job window work ("learned
+  /// parameters pass to subsequent models"); this lets the claim be
+  /// measured.
+  bool reinitialize_on_retrain = false;
 
   /// Throws std::invalid_argument on parameters the service cannot run
   /// with (delegates protocol checks to OnlineProtocolOptions::validate).
@@ -156,6 +166,21 @@ class PredictionService {
   std::size_t training_events() const;
   bool trained() const { return training_events() > 0; }
 
+  /// Continue from a checkpoint taken right after an accepted retrain
+  /// (manual mode; call before the first submission, once the window
+  /// holds the completions seen up to the checkpoint's cursor): serve its
+  /// model, count the cadence on from its cursor, and refit the fallback
+  /// baseline on the newest train_window completions, the window that
+  /// retrain trained on.
+  void resume(DecodedCheckpoint checkpoint);
+
+  /// save() bytes of the serving model (what a checkpoint stores). Only a
+  /// retrain changes them: in manual mode they are stable between
+  /// retrain_now() calls.
+  const std::string& live_model_bytes() const noexcept {
+    return live_snapshot_;
+  }
+
   /// Whether the §2.3 cadence has a retrain due now. With
   /// background_retrain == false the owner asks this before each
   /// submission and answers a yes with flush() + retrain_now().
@@ -186,6 +211,13 @@ class PredictionService {
   /// swap-or-discard. Returns true when the shadow was published.
   /// `claimed` means the caller already owns the trainer_busy_ slot.
   bool run_retrain(bool claimed = false);
+  /// Make `model` the live one: refit the fallback baseline on
+  /// `baseline_window` (skipped when empty), serialise the model for the
+  /// next retrain, and swap it in. `new_embedding` drops the cached
+  /// encodings made with the old one.
+  void publish(std::unique_ptr<PrionnPredictor> model,
+               std::span<const trace::JobRecord> baseline_window,
+               bool new_embedding);
   void fulfill(Request& request, const ProvenancedPrediction& prediction);
 
   ServiceOptions options_;
@@ -207,10 +239,10 @@ class PredictionService {
   mutable util::Mutex model_mutex_;
   std::unique_ptr<PrionnPredictor> live_ PRIONN_GUARDED_BY(model_mutex_);
   // save() bytes of *live_, the shadow's source at each retrain. Written
-  // by the constructor and then only by the holder of the trainer slot
-  // (trainer_busy_) when it publishes a new live_; serving never changes
-  // what save() writes, so the bytes stay equal to *live_ without
-  // model_mutex_.
+  // by the constructor, by resume() before any retrain, and then only by
+  // the holder of the trainer slot (trainer_busy_) when it publishes a
+  // new live_; serving never changes what save() writes, so the bytes
+  // stay equal to *live_ without model_mutex_.
   std::string live_snapshot_;
 
   // --- completion window & protocol cadence -----------------------------
@@ -222,6 +254,9 @@ class PredictionService {
   std::deque<std::shared_ptr<const trace::JobRecord>> window_
       PRIONN_GUARDED_BY(window_mutex_);
   std::size_t total_completions_ PRIONN_GUARDED_BY(window_mutex_) = 0;
+  // Submissions a resumed run's predecessor served (its checkpoint's
+  // cursor), so a RetrainEvent's job_index counts from the trace's start.
+  std::uint64_t resumed_submissions_ PRIONN_GUARDED_BY(window_mutex_) = 0;
   RetrainCadence cadence_ PRIONN_GUARDED_BY(window_mutex_);
   bool retrain_requested_ PRIONN_GUARDED_BY(window_mutex_) = false;
   bool trainer_busy_ PRIONN_GUARDED_BY(window_mutex_) = false;

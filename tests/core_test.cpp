@@ -1,12 +1,15 @@
 // Tests for PRIONN's core: value bins, the script-to-image mapping with
 // all four transforms, the model factory, the predictor facade, the online
-// trainer, and the phase-2 pipeline helpers.
+// protocol (as the deterministic serving session runs it), and the phase-2
+// pipeline helpers.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <iomanip>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "core/bins.hpp"
 #include "core/model_zoo.hpp"
@@ -14,6 +17,7 @@
 #include "core/pipeline.hpp"
 #include "core/predictor.hpp"
 #include "core/script_image.hpp"
+#include "core/serve/serving_session.hpp"
 #include "embed/word2vec.hpp"
 #include "obs/obs.hpp"
 #include "trace/workload.hpp"
@@ -262,6 +266,14 @@ std::vector<tr::JobRecord> tiny_jobs(std::size_t n) {
   return jobs;
 }
 
+/// The answer predict_batch gives one script on its own.
+core::JobPrediction predict_one(core::PrionnPredictor& p,
+                                const std::string& script) {
+  return p.predict_batch(std::span<const std::string>(&script, 1))
+      .front()
+      .value;
+}
+
 }  // namespace
 
 TEST(Predictor, TrainPredictSmoke) {
@@ -270,7 +282,7 @@ TEST(Predictor, TrainPredictSmoke) {
   EXPECT_FALSE(p.trained());
   p.train(jobs);
   EXPECT_TRUE(p.trained());
-  const auto pred = p.predict(jobs[0].script);
+  const auto pred = predict_one(p, jobs[0].script);
   EXPECT_GE(pred.runtime_minutes, 1.0);
   EXPECT_LT(pred.runtime_minutes, 64.0);
   EXPECT_GT(pred.bytes_read, 0.0);
@@ -279,7 +291,7 @@ TEST(Predictor, TrainPredictSmoke) {
 
 TEST(Predictor, PredictBeforeTrainThrows) {
   core::PrionnPredictor p(tiny_predictor());
-  EXPECT_THROW(p.predict("#!/bin/bash\n"), std::logic_error);
+  EXPECT_THROW(predict_one(p, "#!/bin/bash\n"), std::logic_error);
 }
 
 TEST(Predictor, Word2VecRequiresEmbeddingFit) {
@@ -316,7 +328,7 @@ TEST(Predictor, RuntimeOnlyModeSkipsIoHeads) {
   auto jobs = tiny_jobs(20);
   core::PrionnPredictor p(opts);
   p.train(jobs);
-  const auto pred = p.predict(jobs[0].script);
+  const auto pred = predict_one(p, jobs[0].script);
   EXPECT_EQ(pred.bytes_read, 0.0);
   EXPECT_GE(pred.runtime_minutes, 1.0);
 }
@@ -348,7 +360,8 @@ TEST(Predictor, LearnsRepeatedScripts) {
   p.train(jobs);
   std::size_t hits = 0;
   for (int v = 0; v < 4; ++v) {
-    const auto pred = p.predict(jobs[static_cast<std::size_t>(v)].script);
+    const auto pred =
+        predict_one(p, jobs[static_cast<std::size_t>(v)].script);
     if (std::abs(pred.runtime_minutes - (2.0 + 3.0 * v)) < 0.5) ++hits;
   }
   EXPECT_GE(hits, 3u);
@@ -358,15 +371,19 @@ TEST(Predictor, ConfidenceIsValidProbabilityAndConsistent) {
   auto jobs = tiny_jobs(30);
   core::PrionnPredictor p(tiny_predictor());
   p.train(jobs);
-  const auto c = p.predict_with_confidence(jobs[0].script);
+  const std::vector<std::string> scripts{jobs[0].script, jobs[1].script};
+  const auto c = p.predict_batch(scripts).front();
   EXPECT_GT(c.runtime_confidence, 0.0);
   EXPECT_LE(c.runtime_confidence, 1.0);
   EXPECT_GT(c.read_confidence, 0.0);
   EXPECT_LE(c.write_confidence, 1.0);
-  // The confident prediction's argmax matches the plain predict path.
-  const auto plain = p.predict(jobs[0].script);
-  EXPECT_DOUBLE_EQ(c.value.runtime_minutes, plain.runtime_minutes);
-  EXPECT_DOUBLE_EQ(c.value.bytes_read, plain.bytes_read);
+  // The script alone gets the same answer with the same confidence.
+  const auto alone =
+      p.predict_batch(std::span<const std::string>(scripts.data(), 1))
+          .front();
+  EXPECT_DOUBLE_EQ(c.value.runtime_minutes, alone.value.runtime_minutes);
+  EXPECT_DOUBLE_EQ(c.value.bytes_read, alone.value.bytes_read);
+  EXPECT_DOUBLE_EQ(c.runtime_confidence, alone.runtime_confidence);
 }
 
 TEST(Predictor, SaveLoadRoundTripPreservesPredictions) {
@@ -383,8 +400,8 @@ TEST(Predictor, SaveLoadRoundTripPreservesPredictions) {
   EXPECT_TRUE(loaded.trained());
   EXPECT_EQ(loaded.training_events(), p.training_events());
   for (std::size_t i = 0; i < 5; ++i) {
-    const auto a = p.predict(jobs[i].script);
-    const auto b = loaded.predict(jobs[i].script);
+    const auto a = predict_one(p, jobs[i].script);
+    const auto b = predict_one(loaded, jobs[i].script);
     EXPECT_DOUBLE_EQ(a.runtime_minutes, b.runtime_minutes);
     EXPECT_DOUBLE_EQ(a.bytes_read, b.bytes_read);
     EXPECT_DOUBLE_EQ(a.bytes_written, b.bytes_written);
@@ -459,50 +476,93 @@ TEST(Predictor, LoadRejectsGarbage) {
 
 // --------------------------------------------------------------- online ---
 
+namespace {
+
+/// The §2.3 protocol at test scale, as every replay runs it: a
+/// deterministic serving session.
+core::serve::SessionOptions tiny_session(core::Transform t =
+                                             core::Transform::kSimple) {
+  core::serve::SessionOptions o;
+  o.service.predictor = tiny_predictor(t);
+  o.service.predictor.predict_io = false;
+  o.service.protocol.retrain_interval = 50;
+  o.service.protocol.train_window = 100;
+  o.service.protocol.min_initial_completions = 30;
+  return o;
+}
+
+}  // namespace
+
 TEST(Online, ProtocolProducesPredictionsAfterWarmup) {
   auto jobs = tiny_jobs(260);
-  core::OnlineOptions opts;
-  opts.predictor = tiny_predictor();
-  opts.predictor.predict_io = false;
-  opts.retrain_interval = 50;
-  opts.train_window = 100;
-  opts.min_initial_completions = 30;
-  core::OnlineTrainer trainer(opts);
-  const auto result = trainer.run(jobs);
-  EXPECT_EQ(result.predictions.size(), jobs.size());
+  const auto result = core::serve::ServingSession(tiny_session()).replay(jobs);
+  const auto nn = result.nn_predictions();
+  EXPECT_EQ(nn.size(), jobs.size());
   EXPECT_GE(result.training_events, 2u);
-  const auto idx = result.predicted_indices();
-  EXPECT_GT(idx.size(), jobs.size() / 3);
-  EXPECT_FALSE(result.predictions[0].has_value());  // cold start
-  for (const std::size_t i : idx) {
-    EXPECT_GE(result.predictions[i]->runtime_minutes, 1.0);
+  std::size_t predicted = 0;
+  for (const auto& p : nn) {
+    if (!p) continue;
+    ++predicted;
+    EXPECT_GE(p->runtime_minutes, 1.0);
   }
-  EXPECT_GT(result.train_seconds, 0.0);
+  EXPECT_GT(predicted, jobs.size() / 3);
+  // Cold start: the fallback chain answers before the first retrain.
+  EXPECT_FALSE(nn[0].has_value());
+  ASSERT_TRUE(result.predictions[0].has_value());
+  EXPECT_NE(result.predictions[0]->source,
+            core::PredictionSource::kNeuralNet);
+  EXPECT_GT(result.retrain_ns, 0u);
 }
 
 TEST(Online, ColdRetrainAblationRuns) {
   auto jobs = tiny_jobs(200);
-  core::OnlineOptions opts;
-  opts.predictor = tiny_predictor(core::Transform::kWord2Vec);
-  opts.predictor.predict_io = false;
-  opts.retrain_interval = 40;
-  opts.train_window = 80;
-  opts.min_initial_completions = 30;
-  opts.reinitialize_on_retrain = true;
-  core::OnlineTrainer trainer(opts);
-  const auto result = trainer.run(jobs);
-  EXPECT_GE(result.training_events, 2u);
-  // Cold restarts reset the training-event counter per predictor, so
-  // after the run the live predictor has seen exactly one train() call.
-  EXPECT_EQ(trainer.predictor().training_events(), 1u);
-  EXPECT_FALSE(result.predicted_indices().empty());
+  auto options = tiny_session(core::Transform::kWord2Vec);
+  options.service.protocol.retrain_interval = 40;
+  options.service.protocol.train_window = 80;
+  const auto warm = core::serve::ServingSession(options).replay(jobs);
+  options.service.reinitialize_on_retrain = true;
+  const auto cold = core::serve::ServingSession(options).replay(jobs);
+
+  // Where the retrains happen: the cadence alone decides.
+  core::CompletionFeed feed(jobs);
+  core::RetrainCadence cadence(options.service.protocol);
+  std::vector<std::size_t> retrains;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    feed.advance(jobs[i].submit_time);
+    if (cadence.due(feed.completed().size())) {
+      cadence.start_attempt();
+      cadence.finish_attempt(true);
+      retrains.push_back(i);
+    }
+    cadence.count_submission();
+    feed.submit(i);
+  }
+  ASSERT_GE(retrains.size(), 3u);
+  EXPECT_EQ(warm.training_events, retrains.size());
+  EXPECT_EQ(cold.training_events, retrains.size());
+
+  // The first retrain starts from fresh weights either way, so the runs
+  // agree bit for bit until the second; from there the cold run trains
+  // fresh weights and its answers move away from the warm run's.
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(warm.predictions[i] && cold.predictions[i]);
+    const bool same = warm.predictions[i]->source ==
+                          cold.predictions[i]->source &&
+                      warm.predictions[i]->value.runtime_minutes ==
+                          cold.predictions[i]->value.runtime_minutes;
+    if (i < retrains[1])
+      EXPECT_TRUE(same) << "job " << i;
+    else if (!same)
+      ++differing;
+  }
+  EXPECT_GT(differing, 0u);
 }
 
 TEST(Online, RejectsBadOptions) {
-  core::OnlineOptions opts;
-  opts.predictor = tiny_predictor();
-  opts.retrain_interval = 0;
-  EXPECT_THROW(core::OnlineTrainer{opts}, std::invalid_argument);
+  auto options = tiny_session();
+  options.service.protocol.retrain_interval = 0;
+  EXPECT_THROW(core::serve::ServingSession{options}, std::invalid_argument);
 }
 
 // ------------------------------------------------------------- pipeline ---

@@ -7,8 +7,8 @@
 // test so ctest does not re-run the fixture per test process.
 #include <gtest/gtest.h>
 
-#include "core/online.hpp"
 #include "core/pipeline.hpp"
+#include "core/serve/serving_session.hpp"
 #include "ml/random_forest.hpp"
 #include "trace/features.hpp"
 #include "trace/stats.hpp"
@@ -30,26 +30,28 @@ TEST(EndToEnd, FullPipelineReproducesPaperShape) {
   EXPECT_GT(stats.read_bandwidth.mean, stats.read_bandwidth.median);
 
   // ---- Phase 1: online protocol (word2vec + 2D-CNN). -----------------
-  core::OnlineOptions opts;
-  opts.predictor.image.transform = core::Transform::kWord2Vec;
-  opts.predictor.model = core::ModelKind::kCnn2d;
-  opts.predictor.preset = core::ModelPreset::kFast;
-  opts.predictor.epochs = 8;
-  opts.retrain_interval = 100;
-  opts.train_window = 300;
-  opts.min_initial_completions = 80;
-  core::OnlineTrainer trainer(opts);
-  const auto online = trainer.run(jobs);
+  core::serve::SessionOptions opts;
+  opts.service.predictor.image.transform = core::Transform::kWord2Vec;
+  opts.service.predictor.model = core::ModelKind::kCnn2d;
+  opts.service.predictor.preset = core::ModelPreset::kFast;
+  opts.service.predictor.epochs = 8;
+  opts.service.protocol.retrain_interval = 100;
+  opts.service.protocol.train_window = 300;
+  opts.service.protocol.min_initial_completions = 80;
+  const auto online = core::serve::ServingSession(opts).replay(jobs);
+  const auto nn = online.nn_predictions();
 
   EXPECT_GE(online.training_events, 3u);
-  const auto predicted = online.predicted_indices();
+  std::vector<std::size_t> predicted;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (nn[i]) predicted.push_back(i);
   ASSERT_GT(predicted.size(), jobs.size() / 2);
-  EXPECT_FALSE(online.predictions[0].has_value());  // cold start
+  EXPECT_FALSE(nn[0].has_value());  // cold start
 
   std::vector<core::JobPrediction> predictions(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (online.predictions[i]) {
-      predictions[i] = *online.predictions[i];
+    if (nn[i]) {
+      predictions[i] = *nn[i];
     } else {
       // Cold-start fallback: what a deployment would use before the first
       // training event.

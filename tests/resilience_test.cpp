@@ -2,14 +2,16 @@
 // harness, the checkpoint frame (round trip + rejection of truncated /
 // bit-flipped / wrong-version streams, last-good fallback), predictor
 // snapshot bit-exactness, divergence rollback, graceful degradation
-// provenance, input quarantine, kill/resume equivalence, and the
-// end-to-end acceptance scenario with every fault class armed at once.
+// provenance, input quarantine, the checkpointed serving session's
+// kill/resume equivalence, and the end-to-end acceptance scenario with
+// every fault class armed at once.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +19,7 @@
 #include "core/checkpoint.hpp"
 #include "core/fallback.hpp"
 #include "core/predictor.hpp"
-#include "core/resilient_online.hpp"
+#include "core/serve/serving_session.hpp"
 #include "nn/loss.hpp"
 #include "trace/store.hpp"
 #include "trace/swf.hpp"
@@ -26,6 +28,7 @@
 #include "util/fault.hpp"
 
 namespace core = prionn::core;
+namespace serve = prionn::core::serve;
 namespace tr = prionn::trace;
 namespace fault = prionn::util::fault;
 namespace fs = std::filesystem;
@@ -184,12 +187,14 @@ TEST(PredictorSnapshot, RoundTripsBitIdenticalPredictions) {
   // save -> load -> save is byte-stable, and predictions match bit for
   // bit (same weights, same bins, same mapper).
   EXPECT_EQ(predictor_bytes(q), bytes);
-  for (std::size_t i = 0; i < 8; ++i) {
-    const auto a = p.predict(jobs[i].script);
-    const auto b = q.predict(jobs[i].script);
-    EXPECT_EQ(a.runtime_minutes, b.runtime_minutes);
-    EXPECT_EQ(a.bytes_read, b.bytes_read);
-    EXPECT_EQ(a.bytes_written, b.bytes_written);
+  std::vector<std::string> scripts;
+  for (std::size_t i = 0; i < 8; ++i) scripts.push_back(jobs[i].script);
+  const auto a = p.predict_batch(scripts);
+  const auto b = q.predict_batch(scripts);
+  for (std::size_t i = 0; i < scripts.size(); ++i) {
+    EXPECT_EQ(a[i].value.runtime_minutes, b[i].value.runtime_minutes);
+    EXPECT_EQ(a[i].value.bytes_read, b[i].value.bytes_read);
+    EXPECT_EQ(a[i].value.bytes_written, b[i].value.bytes_written);
   }
 }
 
@@ -229,7 +234,8 @@ TEST(PredictorSnapshot, PredictionLeavesSavedStateUnchanged) {
   std::vector<std::string> scripts;
   for (const auto& job : jobs) scripts.push_back(job.script);
   static_cast<void>(p.predict_batch(scripts));
-  static_cast<void>(p.predict_with_confidence(scripts.front()));
+  static_cast<void>(
+      p.predict_batch(std::span<const std::string>(scripts.data(), 1)));
   EXPECT_EQ(predictor_bytes(p), published);
 }
 
@@ -296,7 +302,7 @@ TEST(Checkpoint, FileRoundTripAndLastGoodFallback) {
   st.next_index = 40;
   st.submissions_since_train = 0;
   st.embedding_ready = true;
-  core::write_checkpoint_file(path.str(), p, st);
+  core::write_checkpoint_file(path.str(), p.snapshot(), st);
 
   auto primary = core::resume_checkpoint(path.str());
   ASSERT_TRUE(primary.checkpoint.has_value());
@@ -309,7 +315,7 @@ TEST(Checkpoint, FileRoundTripAndLastGoodFallback) {
   // Second generation, then tear the primary: resume must fall back to
   // the rotated last-good file, which still holds generation one.
   st.next_index = 80;
-  core::write_checkpoint_file(path.str(), p, st);
+  core::write_checkpoint_file(path.str(), p.snapshot(), st);
   fs::resize_file(path.str(), fs::file_size(path.str()) / 2);
   auto fallback = core::resume_checkpoint(path.str());
   ASSERT_TRUE(fallback.checkpoint.has_value());
@@ -336,9 +342,9 @@ TEST(Checkpoint, TruncateFaultTearsPrimaryNotLastGood) {
 
   core::OnlineCheckpointState st;
   st.next_index = 1;
-  core::write_checkpoint_file(path.str(), p, st);  // survives
+  core::write_checkpoint_file(path.str(), p.snapshot(), st);  // survives
   st.next_index = 2;
-  core::write_checkpoint_file(path.str(), p, st);  // torn after rename
+  core::write_checkpoint_file(path.str(), p.snapshot(), st);  // torn
 
   const auto resumed = core::resume_checkpoint(path.str());
   ASSERT_TRUE(resumed.checkpoint.has_value());
@@ -475,18 +481,19 @@ TEST(Quarantine, TraceStoreResyncsOnDamagedRecord) {
   EXPECT_THROW(tr::load_trace(strict_is), std::runtime_error);
 }
 
-// --------------------------------------------- resilient online loop ---
+// ------------------------------------ checkpointed serving session ---
 
-core::ResilientOptions tiny_resilient_options(const std::string& path) {
-  core::ResilientOptions o;
-  o.online.predictor = tiny_predictor_options();
-  o.online.predictor.epochs = 1;
-  o.online.predictor.predict_io = false;
-  o.online.retrain_interval = 40;
-  o.online.train_window = 80;
-  o.online.min_initial_completions = 40;
-  o.fallback.min_confidence = 0.35;  // let some predictions fall to the RF
-  o.fallback.forest.trees = 10;
+serve::SessionOptions tiny_session_options(const std::string& path) {
+  serve::SessionOptions o;
+  o.service.predictor = tiny_predictor_options();
+  o.service.predictor.epochs = 1;
+  o.service.predictor.predict_io = false;
+  o.service.protocol.retrain_interval = 40;
+  o.service.protocol.train_window = 80;
+  o.service.protocol.min_initial_completions = 40;
+  // Let some predictions fall to the RF.
+  o.service.fallback.min_confidence = 0.35;
+  o.service.fallback.forest.trees = 10;
   o.checkpoint_path = path;
   return o;
 }
@@ -500,12 +507,11 @@ TEST(ResilientOnline, PoisonedRetrainRollsBackAndServingContinues) {
   plan.point(fault::FaultPoint::kNanPoisonBatch).fire_at = {2};
   fault::ScopedFaultPlan armed(plan);
 
-  core::ResilientOnlineTrainer trainer(tiny_resilient_options(path.str()));
-  const auto result = trainer.run(jobs);
+  const auto result =
+      serve::ServingSession(tiny_session_options(path.str())).replay(jobs);
 
-  EXPECT_EQ(result.rejected_retrains, 1u);
-  EXPECT_EQ(result.rollbacks, 1u);
-  EXPECT_FALSE(result.nn_benched);
+  EXPECT_EQ(result.stats.rejected_retrains, 1u);
+  EXPECT_FALSE(result.stats.nn_benched);
   EXPECT_GE(result.training_events, 2u);
   for (const auto& p : result.predictions) {
     ASSERT_TRUE(p.has_value());
@@ -518,22 +524,21 @@ TEST(ResilientOnline, KillAndResumeMatchesUninterruptedRun) {
   const auto jobs = tiny_jobs(220);
 
   CheckpointPath clean_path("prionn_test_clean.ckpt");
-  core::ResilientOnlineTrainer clean(
-      tiny_resilient_options(clean_path.str()));
-  const auto uninterrupted = clean.run(jobs);
+  const auto uninterrupted =
+      serve::ServingSession(tiny_session_options(clean_path.str()))
+          .replay(jobs);
   ASSERT_FALSE(uninterrupted.crashed);
   ASSERT_GE(uninterrupted.training_events, 3u);
 
   CheckpointPath crash_path("prionn_test_crash.ckpt");
-  const auto options = tiny_resilient_options(crash_path.str());
+  const auto options = tiny_session_options(crash_path.str());
   std::size_t crash_index = 0;
   {
     fault::FaultPlan plan;
     plan.seed = 23;
     plan.point(fault::FaultPoint::kCrash).fire_at = {2};
     fault::ScopedFaultPlan armed(plan);
-    core::ResilientOnlineTrainer doomed(options);
-    const auto before_crash = doomed.run(jobs);
+    const auto before_crash = serve::ServingSession(options).replay(jobs);
     ASSERT_TRUE(before_crash.crashed);
     crash_index = before_crash.crash_index;
     ASSERT_GT(crash_index, 0u);
@@ -543,12 +548,13 @@ TEST(ResilientOnline, KillAndResumeMatchesUninterruptedRun) {
       EXPECT_EQ(before_crash.predictions[i]->value.runtime_minutes,
                 uninterrupted.predictions[i]->value.runtime_minutes);
     }
+    for (std::size_t i = crash_index; i < jobs.size(); ++i)
+      EXPECT_FALSE(before_crash.predictions[i].has_value());
   }
 
   // A fresh process resumes from the checkpoint: every surviving
   // prediction must match the uninterrupted run bit for bit.
-  core::ResilientOnlineTrainer revived(options);
-  const auto resumed = revived.run(jobs);
+  const auto resumed = serve::ServingSession(options).replay(jobs);
   EXPECT_EQ(resumed.resume_source, core::CheckpointSource::kPrimary);
   EXPECT_EQ(resumed.resume_index, crash_index);
   ASSERT_FALSE(resumed.crashed);
@@ -570,21 +576,21 @@ TEST(ResilientOnline, RepeatedRejectionsBenchTheNn) {
   CheckpointPath path("prionn_test_bench.ckpt");
   const auto jobs = tiny_jobs(220);
 
-  auto options = tiny_resilient_options(path.str());
-  options.online.predictor.max_gradient_norm = 1e-12;  // every train fails
-  options.guards.max_consecutive_rejections = 2;
-  core::ResilientOnlineTrainer trainer(options);
-  const auto result = trainer.run(jobs);
+  auto options = tiny_session_options(path.str());
+  options.service.predictor.max_gradient_norm = 1e-12;  // every train fails
+  options.service.guards.max_consecutive_rejections = 2;
+  const auto result = serve::ServingSession(options).replay(jobs);
 
-  EXPECT_TRUE(result.nn_benched);
+  EXPECT_TRUE(result.stats.nn_benched);
   EXPECT_EQ(result.training_events, 0u);
-  EXPECT_EQ(result.rejected_retrains, 2u);
-  const auto counts = result.source_counts();
-  EXPECT_EQ(counts[static_cast<std::size_t>(
+  EXPECT_EQ(result.stats.rejected_retrains, 2u);
+  EXPECT_EQ(result.stats.source_counts[static_cast<std::size_t>(
                 core::PredictionSource::kNeuralNet)],
             0u);
   // Serving never stopped: everything fell through to the last resort.
   for (const auto& p : result.predictions) ASSERT_TRUE(p.has_value());
+  // No retrain was accepted, so no checkpoint was written.
+  EXPECT_FALSE(fs::exists(path.str()));
 }
 
 // ------------------------------------------------- e2e acceptance ---
@@ -614,22 +620,21 @@ TEST(ResilienceAcceptance, EndToEndFaultSoup) {
     EXPECT_GT(report.quarantined(), 0u);
     EXPECT_LE(report.fraction(), 0.2);
 
-    core::ResilientOnlineTrainer trainer(
-        tiny_resilient_options(checkpoint));
-    auto result = trainer.run(jobs);
+    auto result =
+        serve::ServingSession(tiny_session_options(checkpoint)).replay(jobs);
     return std::pair(std::move(result), report.quarantined());
   };
 
   CheckpointPath path_a("prionn_test_e2e_a.ckpt");
   const auto [result, quarantined] = serve(path_a.str());
 
-  EXPECT_EQ(result.rejected_retrains, 1u);
+  EXPECT_EQ(result.stats.rejected_retrains, 1u);
   EXPECT_GE(result.training_events, 2u);
   for (const auto& p : result.predictions) {
     ASSERT_TRUE(p.has_value());
     EXPECT_TRUE(std::isfinite(p->value.runtime_minutes));
   }
-  const auto counts = result.source_counts();
+  const auto& counts = result.stats.source_counts;
   EXPECT_EQ(counts[0] + counts[1] + counts[2], result.predictions.size());
   // The torn first checkpoint means a restart resumes from last-good.
   const auto restart = core::resume_checkpoint(path_a.str());
@@ -639,7 +644,7 @@ TEST(ResilienceAcceptance, EndToEndFaultSoup) {
   CheckpointPath path_b("prionn_test_e2e_b.ckpt");
   const auto [replay, requarantined] = serve(path_b.str());
   EXPECT_EQ(requarantined, quarantined);
-  EXPECT_EQ(replay.rejected_retrains, result.rejected_retrains);
+  EXPECT_EQ(replay.stats.rejected_retrains, result.stats.rejected_retrains);
   EXPECT_EQ(replay.training_events, result.training_events);
   ASSERT_EQ(replay.predictions.size(), result.predictions.size());
   for (std::size_t i = 0; i < result.predictions.size(); ++i) {

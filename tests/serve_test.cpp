@@ -7,12 +7,12 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/resilient_online.hpp"
 #include "core/serve/encoding_cache.hpp"
 #include "core/serve/prediction_service.hpp"
 #include "core/serve/serving_session.hpp"
@@ -108,199 +108,197 @@ TEST(ServeOptions, ValidateRejectsDegenerateParameters) {
 }
 
 TEST(OnlineProtocolOptions, SharedValidationGuardsEveryConsumer) {
-  core::OnlineOptions o;
-  o.train_window = 0;
-  EXPECT_THROW(core::OnlineTrainer{o}, std::invalid_argument);
-  o = {};
-  o.embedding_corpus = 0;
-  EXPECT_THROW(core::OnlineTrainer{o}, std::invalid_argument);
+  serve::SessionOptions o;
+  o.service = tiny_service();
+  o.service.protocol.train_window = 0;
+  EXPECT_THROW(serve::ServingSession{o}, std::invalid_argument);
+  o.service = tiny_service();
+  o.service.protocol.embedding_corpus = 0;
+  EXPECT_THROW(serve::ServingSession{o}, std::invalid_argument);
+}
+
+TEST(ServingSession, CheckpointNeedsDeterministicMode) {
+  serve::SessionOptions o;
+  o.service = tiny_service();
+  o.mode = serve::ReplayMode::kConcurrent;
+  o.checkpoint_path = "unused.ckpt";
+  EXPECT_THROW(serve::ServingSession{o}, std::invalid_argument);
 }
 
 // ------------------------------------------------- deterministic replay ----
 
-// The acceptance bar for the whole subsystem: replaying a trace through
-// the micro-batched service (deterministic mode) must be prediction-for-
-// prediction identical to the sequential OnlineTrainer at a fixed seed.
-// Batching, the encoding cache, and the shadow-train/swap cycle may only
-// change the wall clock, never the arithmetic.
-TEST(ServingSession, DeterministicReplayEqualsOnlineTrainer) {
-  const auto jobs = tiny_jobs(90);
+// The §2.3 protocol one job at a time, straight from core/online's parts:
+// the oracle the deterministic session is held to. A rejected retrain is
+// undone by restoring the snapshot taken before it, where the service
+// instead trains a shadow copy and drops it.
+struct ReferenceRun {
+  std::vector<core::ProvenancedPrediction> predictions;
+  std::vector<obs::RetrainEvent> events;  // duration_ms left at 0
+};
 
-  core::OnlineOptions online;
-  static_cast<core::OnlineProtocolOptions&>(online) =
-      tiny_service().protocol;
-  online.predictor = tiny_predictor();
-  auto sequential = core::OnlineTrainer(online).run(jobs);
-
-  serve::SessionOptions session_options;
-  session_options.service = tiny_service();
-  session_options.mode = serve::ReplayMode::kDeterministic;
-  serve::ServingSession session(session_options);
-  const auto served = session.replay(jobs);
-
-  EXPECT_GE(sequential.training_events, 2u);
-  EXPECT_EQ(served.training_events, sequential.training_events);
-  const auto nn = served.nn_predictions();
-  ASSERT_EQ(nn.size(), sequential.predictions.size());
-  for (std::size_t i = 0; i < nn.size(); ++i) {
-    ASSERT_EQ(nn[i].has_value(), sequential.predictions[i].has_value())
-        << "job " << i;
-    if (!nn[i]) continue;
-    // Bit-exact, not approximately equal.
-    EXPECT_EQ(nn[i]->runtime_minutes,
-              sequential.predictions[i]->runtime_minutes)
-        << "job " << i;
-    EXPECT_EQ(nn[i]->bytes_read, sequential.predictions[i]->bytes_read)
-        << "job " << i;
-    EXPECT_EQ(nn[i]->bytes_written,
-              sequential.predictions[i]->bytes_written)
-        << "job " << i;
+ReferenceRun reference_replay(const std::vector<tr::JobRecord>& jobs,
+                              const serve::ServiceOptions& options) {
+  ReferenceRun run;
+  core::PrionnPredictor model(options.predictor);
+  core::FallbackPredictor fallback(options.fallback);
+  core::CompletionFeed feed(jobs);
+  core::RetrainCadence cadence(options.protocol,
+                               options.guards.max_consecutive_rejections);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    feed.advance(jobs[i].submit_time);
+    if (cadence.due(feed.completed().size())) {
+      const std::size_t attempt = cadence.start_attempt();
+      const auto recent = feed.recent(options.protocol.retrain_records(
+          model, feed.completed().size()));
+      const std::string snapshot = model.snapshot();
+      auto event = core::attempt_retrain(model, recent, options.protocol,
+                                         options.guards);
+      if (event.accepted)
+        fallback.fit_baseline(core::training_window(recent, options.protocol));
+      else
+        model = core::PrionnPredictor::from_snapshot(snapshot);
+      cadence.finish_attempt(event.accepted);
+      event.window_id = attempt;
+      event.job_index = i;
+      event.benched = cadence.benched();
+      run.events.push_back(event);
+    }
+    run.predictions.push_back(
+        fallback.predict(cadence.benched() ? nullptr : &model, jobs[i]));
+    cadence.count_submission();
+    feed.submit(i);
   }
-  // The workload's 65% script-repeat rate must show up as cache hits.
-  EXPECT_GT(served.stats.cache_hits, 0u);
-  EXPECT_GT(served.stats.batches, 0u);
-  EXPECT_EQ(served.stats.served, jobs.size());
+  return run;
 }
 
-// Word2vec exercises the embedding fit inside the shadow retrain and the
-// epoch-based cache invalidation that follows the swap.
-TEST(ServingSession, DeterministicReplayEqualsOnlineTrainerWord2Vec) {
-  const auto jobs = tiny_jobs(60);
-
-  core::OnlineOptions online;
-  static_cast<core::OnlineProtocolOptions&>(online) =
-      tiny_service().protocol;
-  online.predictor = tiny_predictor(core::Transform::kWord2Vec);
-  auto sequential = core::OnlineTrainer(online).run(jobs);
-
-  serve::SessionOptions session_options;
-  session_options.service = tiny_service(core::Transform::kWord2Vec);
-  session_options.mode = serve::ReplayMode::kDeterministic;
-  serve::ServingSession session(session_options);
-  const auto served = session.replay(jobs);
-
-  EXPECT_GE(sequential.training_events, 1u);
-  EXPECT_EQ(served.training_events, sequential.training_events);
-  const auto nn = served.nn_predictions();
-  ASSERT_EQ(nn.size(), sequential.predictions.size());
-  for (std::size_t i = 0; i < nn.size(); ++i) {
-    ASSERT_EQ(nn[i].has_value(), sequential.predictions[i].has_value());
-    if (!nn[i]) continue;
-    EXPECT_EQ(nn[i]->runtime_minutes,
-              sequential.predictions[i]->runtime_minutes);
-  }
-}
-
-// The retrain attempts one replay emitted, in order, with the fields that
-// depend on the wall clock or on checkpointing cleared.
+// The retrain attempts one replay emitted, in order, with the wall-clock
+// field cleared.
 std::vector<obs::RetrainEvent> retrain_events() {
   std::vector<obs::RetrainEvent> out;
   for (const auto& line : obs::event_log().lines()) {
     auto event = obs::EventLog::parse_retrain(line);
     if (!event) continue;
     event->duration_ms = 0.0;
-    event->checkpoint_generation = 0;
     out.push_back(*event);
   }
   return out;
 }
 
-// ResilientOnlineTrainer (train in place, restore a snapshot on rejection)
-// and the service's deterministic replay (train a shadow, swap or drop it)
-// run the one §2.3 protocol of core/online: every job gets the same answer
-// from the same source, and every attempt the same RetrainEvent, with or
-// without a NaN-poisoned retrain. A rejected word2vec first retrain must
-// leave no embedding behind on either path.
-TEST(ServingSession, DeterministicReplayEqualsResilientTrainer) {
+// The acceptance bar for the whole subsystem: replaying a trace through
+// the micro-batched service (deterministic mode) gives every job the
+// reference loop's answer from the reference loop's source, and every
+// retrain attempt the same RetrainEvent, with or without a NaN-poisoned
+// retrain (`poisoned_retrain` 0 means no fault). Batching, the encoding
+// cache, and the shadow-train/swap cycle may only change the wall clock,
+// never the arithmetic.
+void expect_replay_equals_reference_loop(core::Transform transform,
+                                         std::uint64_t poisoned_retrain) {
+  SCOPED_TRACE(::testing::Message()
+               << "word2vec " << (transform == core::Transform::kWord2Vec)
+               << ", poisoned retrain " << poisoned_retrain);
   const auto jobs = tiny_jobs(120);
   obs::set_enabled(true);
-  for (const auto transform :
-       {core::Transform::kSimple, core::Transform::kWord2Vec}) {
-    for (const std::uint64_t poisoned_retrain : {0, 1, 2}) {  // 0: no fault
-      SCOPED_TRACE(::testing::Message()
-                   << "word2vec " << (transform == core::Transform::kWord2Vec)
-                   << ", poisoned retrain " << poisoned_retrain);
-      serve::SessionOptions session_options;
-      session_options.service = tiny_service(transform);
-      // Runtime-head confidences here run from 0.03 to 0.18.
-      session_options.service.fallback.min_confidence = 0.06;
-      session_options.mode = serve::ReplayMode::kDeterministic;
-      core::ResilientOptions resilient_options;
-      static_cast<core::OnlineProtocolOptions&>(resilient_options.online) =
-          session_options.service.protocol;
-      resilient_options.online.predictor = session_options.service.predictor;
-      resilient_options.fallback = session_options.service.fallback;
-      resilient_options.guards = session_options.service.guards;
+  serve::SessionOptions session_options;
+  session_options.service = tiny_service(transform);
+  // Runtime-head confidences here run from 0.03 to 0.18.
+  session_options.service.fallback.min_confidence = 0.06;
+  session_options.mode = serve::ReplayMode::kDeterministic;
 
-      fault::FaultPlan plan;
-      if (poisoned_retrain > 0)
-        plan.point(fault::FaultPoint::kNanPoisonBatch).fire_at = {
-            poisoned_retrain};
+  fault::FaultPlan plan;
+  if (poisoned_retrain > 0)
+    plan.point(fault::FaultPoint::kNanPoisonBatch).fire_at = {
+        poisoned_retrain};
 
-      obs::event_log().clear();
-      core::ResilientResult sequential;
-      {
-        fault::ScopedFaultPlan armed(plan);
-        sequential = core::ResilientOnlineTrainer(resilient_options).run(jobs);
-      }
-      const auto sequential_events = retrain_events();
-
-      obs::event_log().clear();
-      serve::SessionResult served;
-      {
-        fault::ScopedFaultPlan armed(plan);
-        served = serve::ServingSession(session_options).replay(jobs);
-      }
-      const auto served_events = retrain_events();
-
-      EXPECT_EQ(sequential.rejected_retrains, poisoned_retrain > 0 ? 1u : 0u);
-      EXPECT_EQ(served.stats.rejected_retrains, sequential.rejected_retrains);
-      EXPECT_EQ(served.training_events, sequential.training_events);
-      ASSERT_EQ(served.predictions.size(), jobs.size());
-      std::array<std::size_t, 3> sources{};
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        ASSERT_TRUE(sequential.predictions[i].has_value());
-        const auto& seq = *sequential.predictions[i];
-        const auto& svc = served.predictions[i];
-        EXPECT_EQ(svc.source, seq.source) << "job " << i;
-        // Bit-exact, not approximately equal.
-        EXPECT_EQ(svc.value.runtime_minutes, seq.value.runtime_minutes)
-            << "job " << i;
-        EXPECT_EQ(svc.value.bytes_read, seq.value.bytes_read) << "job " << i;
-        EXPECT_EQ(svc.value.bytes_written, seq.value.bytes_written)
-            << "job " << i;
-        ++sources[static_cast<std::size_t>(seq.source)];
-      }
-      // At this floor both legs answer: (NN, RF, requested) counts are
-      // 63/40/17, 63/20/37 and 43/60/17 for the simple transform with no
-      // fault, the 1st and the 2nd retrain poisoned, and 43/60/17,
-      // 63/20/37 and 43/60/17 for word2vec (-march=native build).
-      EXPECT_GT(sources[static_cast<std::size_t>(
-                    core::PredictionSource::kNeuralNet)],
-                0u);
-      EXPECT_GT(sources[static_cast<std::size_t>(
-                    core::PredictionSource::kRandomForest)],
-                0u);
-
-      if (!obs::kEnabled) continue;  // no event log in obs-off builds
-      ASSERT_EQ(served_events.size(), sequential_events.size());
-      for (std::size_t e = 0; e < served_events.size(); ++e) {
-        const auto& a = sequential_events[e];
-        const auto& b = served_events[e];
-        EXPECT_EQ(b.window_id, a.window_id) << "event " << e;
-        EXPECT_EQ(b.job_index, a.job_index) << "event " << e;
-        EXPECT_EQ(b.window_size, a.window_size) << "event " << e;
-        EXPECT_EQ(b.holdback_size, a.holdback_size) << "event " << e;
-        EXPECT_EQ(b.loss, a.loss) << "event " << e;
-        EXPECT_EQ(b.holdback_accuracy, a.holdback_accuracy) << "event " << e;
-        EXPECT_EQ(b.accepted, a.accepted) << "event " << e;
-        EXPECT_EQ(b.rollback, a.rollback) << "event " << e;
-        EXPECT_EQ(b.benched, a.benched) << "event " << e;
-      }
-    }
+  ReferenceRun reference;
+  {
+    fault::ScopedFaultPlan armed(plan);
+    reference = reference_replay(jobs, session_options.service);
   }
+  obs::event_log().clear();
+  serve::SessionResult served;
+  {
+    fault::ScopedFaultPlan armed(plan);
+    served = serve::ServingSession(session_options).replay(jobs);
+  }
+  const auto served_events = retrain_events();
   obs::set_enabled(false);
   obs::event_log().clear();
+
+  std::size_t rejected = 0;
+  for (const auto& e : reference.events) rejected += e.accepted ? 0 : 1;
+  EXPECT_EQ(rejected, poisoned_retrain > 0 ? 1u : 0u);
+  EXPECT_EQ(served.stats.rejected_retrains, rejected);
+  EXPECT_EQ(served.training_events, reference.events.size() - rejected);
+  // The workload's 65% script-repeat rate must show up as cache hits.
+  EXPECT_GT(served.stats.cache_hits, 0u);
+  EXPECT_GT(served.stats.batches, 0u);
+  EXPECT_EQ(served.stats.served, jobs.size());
+  ASSERT_EQ(served.predictions.size(), jobs.size());
+  std::array<std::size_t, 3> sources{};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(served.predictions[i].has_value()) << "job " << i;
+    const auto& ref = reference.predictions[i];
+    const auto& svc = *served.predictions[i];
+    EXPECT_EQ(svc.source, ref.source) << "job " << i;
+    // Bit-exact, not approximately equal.
+    EXPECT_EQ(svc.value.runtime_minutes, ref.value.runtime_minutes)
+        << "job " << i;
+    EXPECT_EQ(svc.value.bytes_read, ref.value.bytes_read) << "job " << i;
+    EXPECT_EQ(svc.value.bytes_written, ref.value.bytes_written)
+        << "job " << i;
+    ++sources[static_cast<std::size_t>(ref.source)];
+  }
+  // At this floor both legs answer: (NN, RF, requested) counts are
+  // 63/40/17, 63/20/37 and 43/60/17 for the simple transform with no
+  // fault, the 1st and the 2nd retrain poisoned, and 43/60/17,
+  // 63/20/37 and 43/60/17 for word2vec (-march=native build).
+  EXPECT_GT(
+      sources[static_cast<std::size_t>(core::PredictionSource::kNeuralNet)],
+      0u);
+  EXPECT_GT(sources[static_cast<std::size_t>(
+                core::PredictionSource::kRandomForest)],
+            0u);
+
+  if (!obs::kEnabled) return;  // no event log in obs-off builds
+  ASSERT_EQ(served_events.size(), reference.events.size());
+  for (std::size_t e = 0; e < served_events.size(); ++e) {
+    const auto& a = reference.events[e];
+    const auto& b = served_events[e];
+    EXPECT_EQ(b.window_id, a.window_id) << "event " << e;
+    EXPECT_EQ(b.job_index, a.job_index) << "event " << e;
+    EXPECT_EQ(b.window_size, a.window_size) << "event " << e;
+    EXPECT_EQ(b.holdback_size, a.holdback_size) << "event " << e;
+    EXPECT_EQ(b.loss, a.loss) << "event " << e;
+    EXPECT_EQ(b.holdback_accuracy, a.holdback_accuracy) << "event " << e;
+    EXPECT_EQ(b.accepted, a.accepted) << "event " << e;
+    EXPECT_EQ(b.rollback, a.rollback) << "event " << e;
+    EXPECT_EQ(b.benched, a.benched) << "event " << e;
+    EXPECT_EQ(b.checkpoint_generation, a.checkpoint_generation)
+        << "event " << e;
+  }
+}
+
+// The three tests below keep the names of the trainer classes the
+// reference loop stands in for: the plain §2.3 trainer (no fault, simple
+// and word2vec) and the guarded trainer (a poisoned retrain).
+
+TEST(ServingSession, DeterministicReplayEqualsOnlineTrainer) {
+  expect_replay_equals_reference_loop(core::Transform::kSimple, 0);
+}
+
+// Word2vec adds the embedding fit inside the shadow retrain and the cache
+// invalidation that follows the swap.
+TEST(ServingSession, DeterministicReplayEqualsOnlineTrainerWord2Vec) {
+  expect_replay_equals_reference_loop(core::Transform::kWord2Vec, 0);
+}
+
+// A rejected retrain is rolled back on both sides; a rejected first
+// word2vec retrain must leave no embedding behind.
+TEST(ServingSession, DeterministicReplayEqualsResilientTrainer) {
+  for (const auto transform :
+       {core::Transform::kSimple, core::Transform::kWord2Vec})
+    for (const std::uint64_t poisoned_retrain : {1, 2})
+      expect_replay_equals_reference_loop(transform, poisoned_retrain);
 }
 
 // Cache on vs cache off must be indistinguishable in the answers — across
@@ -324,11 +322,12 @@ TEST(ServingSession, EncodingCacheDoesNotChangePredictions) {
   EXPECT_EQ(b.stats.cache_hits, 0u);
   ASSERT_EQ(a.predictions.size(), b.predictions.size());
   for (std::size_t i = 0; i < a.predictions.size(); ++i) {
-    EXPECT_EQ(a.predictions[i].source, b.predictions[i].source);
-    EXPECT_EQ(a.predictions[i].value.runtime_minutes,
-              b.predictions[i].value.runtime_minutes);
-    EXPECT_EQ(a.predictions[i].value.bytes_read,
-              b.predictions[i].value.bytes_read);
+    ASSERT_TRUE(a.predictions[i] && b.predictions[i]);
+    EXPECT_EQ(a.predictions[i]->source, b.predictions[i]->source);
+    EXPECT_EQ(a.predictions[i]->value.runtime_minutes,
+              b.predictions[i]->value.runtime_minutes);
+    EXPECT_EQ(a.predictions[i]->value.bytes_read,
+              b.predictions[i]->value.bytes_read);
   }
 }
 
@@ -448,30 +447,28 @@ TEST(ServingSession, ConcurrentReplayServesEveryJob) {
   const auto result = session.replay(jobs);
 
   ASSERT_EQ(result.predictions.size(), jobs.size());
-  for (const auto& p : result.predictions)
-    EXPECT_GE(p.value.runtime_minutes, 1.0);
+  for (const auto& p : result.predictions) {
+    ASSERT_TRUE(p.has_value());
+    EXPECT_GE(p->value.runtime_minutes, 1.0);
+  }
   EXPECT_EQ(result.stats.served, result.stats.submitted);
 }
 
-// ----------------------------------------------- satellite: timings -------
+// ------------------------------------------------------------ timings -----
 
-TEST(OnlineResult, MonotonicTimingsAreConsistent) {
+TEST(ServingSession, RetrainTimeIsPartOfReplayTime) {
   const auto jobs = tiny_jobs(40);
-  core::OnlineOptions options;
-  options.predictor = tiny_predictor();
-  options.min_initial_completions = 10;
-  options.retrain_interval = 15;
-  const auto result = core::OnlineTrainer(options).run(jobs);
+  serve::SessionOptions options;
+  options.service = tiny_service();
+  options.service.protocol.min_initial_completions = 10;
+  options.service.protocol.retrain_interval = 15;
+  const auto result = serve::ServingSession(options).replay(jobs);
   ASSERT_GE(result.training_events, 1u);
-  EXPECT_GT(result.train_ns, 0u);
-  EXPECT_GT(result.predict_ns, 0u);
-  EXPECT_DOUBLE_EQ(result.train_seconds,
-                   static_cast<double>(result.train_ns) / 1e9);
-  EXPECT_DOUBLE_EQ(result.predict_seconds,
-                   static_cast<double>(result.predict_ns) / 1e9);
+  EXPECT_GT(result.retrain_ns, 0u);
+  EXPECT_LT(result.retrain_ns, result.replay_ns);
 }
 
-// ------------------------------------- satellite: one batch predict path ---
+// ------------------------------------------ one batch predict path -------
 
 TEST(Predictor, BatchedPredictionEqualsSingleItemWrappers) {
   const auto jobs = tiny_jobs(40);
@@ -482,8 +479,11 @@ TEST(Predictor, BatchedPredictionEqualsSingleItemWrappers) {
   for (std::size_t i = 0; i < 10; ++i) scripts.push_back(jobs[i].script);
   const auto batched = predictor.predict_batch(scripts);
   ASSERT_EQ(batched.size(), scripts.size());
+  // One batch of N equals N batches of one.
   for (std::size_t i = 0; i < scripts.size(); ++i) {
-    const auto single = predictor.predict_with_confidence(scripts[i]);
+    const auto single =
+        predictor.predict_batch(std::span<const std::string>(&scripts[i], 1))
+            .front();
     EXPECT_EQ(batched[i].value.runtime_minutes,
               single.value.runtime_minutes);
     EXPECT_EQ(batched[i].value.bytes_read, single.value.bytes_read);
@@ -493,7 +493,5 @@ TEST(Predictor, BatchedPredictionEqualsSingleItemWrappers) {
     EXPECT_EQ(batched[i].write_confidence, single.write_confidence);
     EXPECT_GT(batched[i].runtime_confidence, 0.0);
     EXPECT_LE(batched[i].runtime_confidence, 1.0);
-    const auto value_only = predictor.predict(scripts[i]);
-    EXPECT_EQ(value_only.runtime_minutes, batched[i].value.runtime_minutes);
   }
 }
