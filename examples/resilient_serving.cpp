@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
   table.add_row({"retrains accepted", count_of("prionn_retrains_total")});
   table.add_row({"retrains rejected",
                  count_of("prionn_retrains_rejected_total")});
-  table.add_row({"rollbacks", count_of("prionn_rollbacks_total")});
   table.add_row({"checkpoint writes",
                  count_of("prionn_checkpoint_writes_total")});
   table.add_row({"trace rows accepted",

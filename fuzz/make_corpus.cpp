@@ -100,7 +100,6 @@ std::vector<std::string> event_seeds() {
   r.loss = {0.9, 0.7, 0.5};
   r.holdback_accuracy = 0.85;
   r.accepted = true;
-  r.checkpoint_generation = 4;
   r.duration_ms = 123.5;
   log.append(r);
   prionn::obs::WindowEvent w;

@@ -94,7 +94,6 @@ std::string encode_checkpoint(std::string_view predictor_bytes,
            static_cast<std::streamsize>(predictor_bytes.size()));
   write_raw(os, state.next_index);
   write_raw(os, state.submissions_since_train);
-  write_raw(os, static_cast<std::uint8_t>(state.embedding_ready ? 1 : 0));
   return std::move(os).str();
 }
 
@@ -105,7 +104,6 @@ DecodedCheckpoint decode_checkpoint(const std::string& payload) {
     OnlineCheckpointState state;
     state.next_index = read_raw<std::uint64_t>(is, "cursor");
     state.submissions_since_train = read_raw<std::uint64_t>(is, "cursor");
-    state.embedding_ready = read_raw<std::uint8_t>(is, "cursor") != 0;
     return DecodedCheckpoint{std::move(predictor), state};
   } catch (const CheckpointError&) {
     throw;

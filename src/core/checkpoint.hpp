@@ -34,7 +34,9 @@ class CheckpointError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x5052434B;  // "PRCK"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2 dropped version 1's trailing embedding-ready byte; a
+/// version-1 frame is rejected like any other unknown version.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Cursor of the online replay loop at checkpoint time. Taken right after
 /// a training event: `next_index` is the submission whose prediction has
@@ -43,7 +45,6 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 struct OnlineCheckpointState {
   std::uint64_t next_index = 0;
   std::uint64_t submissions_since_train = 0;
-  bool embedding_ready = false;
 };
 
 /// Frame `payload` (magic/version/size/CRC header + bytes) onto a stream.

@@ -154,16 +154,12 @@ obs::RetrainEvent attempt_retrain(PrionnPredictor& model,
     event.accepted = false;
   }
 
-  event.rollback = !event.accepted;
   if (event.accepted) {
     PRIONN_OBS_INC("prionn_retrains_total",
                    "training events of the online protocol");
   } else {
     PRIONN_OBS_INC("prionn_retrains_rejected_total",
                    "retrain attempts rejected by the guards");
-    PRIONN_OBS_INC("prionn_rollbacks_total",
-                   "rejected attempts whose model was restored or "
-                   "discarded (the pre-attempt model keeps serving)");
   }
   return event;
 }

@@ -148,8 +148,9 @@ std::span<const trace::JobRecord> training_window(
 /// half-trained: the caller restores or discards it, so that a rejected
 /// attempt leaves the served model exactly as it was, embedding included.
 /// The returned event says whether it was accepted; the caller fills
-/// what only it knows: window_id, job_index, benched,
-/// checkpoint_generation and duration_ms.
+/// what only it knows: window_id, job_index, benched and duration_ms.
+/// (A checkpoint follows the attempt, so the WindowEvents, not this
+/// event, carry the checkpoint generation.)
 obs::RetrainEvent attempt_retrain(PrionnPredictor& model,
                                   std::span<const trace::JobRecord> recent,
                                   const OnlineProtocolOptions& protocol,

@@ -165,12 +165,11 @@ SystemIoEval evaluate_system_io(
     eval.accuracies.push_back(util::relative_accuracy(a, p));
   }
 
-  const sched::BurstDetector detector({options.burst_sigma});
-  eval.burst_threshold = detector.threshold_of(eval.actual_series);
+  eval.burst_threshold = sched::burst_threshold(eval.actual_series);
   const auto actual_bursts =
-      detector.detect(eval.actual_series, eval.burst_threshold);
+      sched::detect_bursts(eval.actual_series, eval.burst_threshold);
   const auto predicted_bursts =
-      detector.detect(eval.predicted_series, eval.burst_threshold);
+      sched::detect_bursts(eval.predicted_series, eval.burst_threshold);
 
   const double buckets_per_minute = 60.0 / options.bucket_seconds;
   for (const std::size_t w : options.window_minutes) {

@@ -17,7 +17,6 @@ namespace prionn::core {
 struct Phase2Options {
   sched::ClusterOptions cluster;
   double bucket_seconds = 60.0;   // the paper works in minutes
-  double burst_sigma = 1.0;       // burst threshold = mean + sigma * std
   std::vector<std::size_t> window_minutes = {5, 10, 15, 20, 30, 45, 60};
 };
 

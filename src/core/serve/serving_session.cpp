@@ -116,7 +116,6 @@ SessionResult ServingSession::replay(
       if (accepted && !options_.checkpoint_path.empty()) {
         OnlineCheckpointState state;  // 0 submissions since this retrain
         state.next_index = i;
-        state.embedding_ready = true;  // an accepted retrain fitted it
         write_checkpoint_file(options_.checkpoint_path,
                               service_->live_model_bytes(), state);
         ++checkpoint_generation_;

@@ -1,15 +1,13 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 namespace prionn::ml {
 
 DecisionTreeRegressor::DecisionTreeRegressor(DecisionTreeOptions options)
-    : options_(options), rng_(options.seed) {}
+    : options_(options) {}
 
 void DecisionTreeRegressor::fit(const Dataset& data) {
   std::vector<std::size_t> rows(data.rows());
@@ -23,13 +21,8 @@ void DecisionTreeRegressor::fit_rows(const Dataset& data,
     throw std::invalid_argument("DecisionTreeRegressor::fit: empty data");
   nodes_.clear();
   depth_ = 0;
-  importance_.assign(data.features(), 0.0);
   std::vector<std::size_t> work(rows.begin(), rows.end());
   build(data, work, 0, work.size(), 0);
-  double total = 0.0;
-  for (const double g : importance_) total += g;
-  if (total > 0.0)
-    for (double& g : importance_) g /= total;
 }
 
 std::size_t DecisionTreeRegressor::build(const Dataset& data,
@@ -52,19 +45,9 @@ std::size_t DecisionTreeRegressor::build(const Dataset& data,
     return nodes_.size() - 1;
   };
 
-  if (level >= options_.max_depth || count < options_.min_samples_split ||
-      sse <= 1e-12)
-    return make_leaf();
-
-  // Choose candidate features (all, or a random subset for forests).
-  const std::size_t d = data.features();
-  std::vector<std::size_t> feats(d);
-  std::iota(feats.begin(), feats.end(), 0);
-  std::size_t feat_count = d;
-  if (options_.max_features > 0 && options_.max_features < d) {
-    rng_.shuffle(feats);
-    feat_count = options_.max_features;
-  }
+  // A single row needs no guard here: it has no two distinct feature
+  // values to split between, so the search below finds no split.
+  if (level >= options_.max_depth || sse <= 1e-12) return make_leaf();
 
   // Best split = maximal reduction of summed squared error.
   double best_gain = 1e-12;
@@ -73,8 +56,7 @@ std::size_t DecisionTreeRegressor::build(const Dataset& data,
 
   std::vector<std::pair<double, double>> values;  // (x_f, y)
   values.reserve(count);
-  for (std::size_t fi = 0; fi < feat_count; ++fi) {
-    const std::size_t f = feats[fi];
+  for (std::size_t f = 0; f < data.features(); ++f) {
     values.clear();
     for (std::size_t i = lo; i < hi; ++i)
       values.emplace_back(data.feature(rows[i], f), data.target(rows[i]));
@@ -117,7 +99,6 @@ std::size_t DecisionTreeRegressor::build(const Dataset& data,
   const auto mid = static_cast<std::size_t>(mid_it - rows.begin());
   if (mid == lo || mid == hi) return make_leaf();  // numerically degenerate
 
-  importance_[best_feature] += best_gain;
   const std::size_t node_index = nodes_.size();
   nodes_.push_back(Node{best_feature, best_threshold, mean, 0, 0});
   const std::size_t left = build(data, rows, lo, mid, level + 1);

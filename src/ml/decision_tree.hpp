@@ -4,23 +4,17 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "ml/dataset.hpp"
-#include "util/rng.hpp"
 
 namespace prionn::ml {
 
+/// Every split examines every feature.
 struct DecisionTreeOptions {
   std::size_t max_depth = 24;
-  std::size_t min_samples_split = 2;
   std::size_t min_samples_leaf = 1;
-  /// Features examined per split; 0 = all (plain tree). Forests set this to
-  /// roughly sqrt(d) or d/3.
-  std::size_t max_features = 0;
-  std::uint64_t seed = 7;  // only used when max_features subsamples
 };
 
 class DecisionTreeRegressor : public Regressor {
@@ -34,13 +28,6 @@ class DecisionTreeRegressor : public Regressor {
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t depth() const noexcept { return depth_; }
-
-  /// Impurity-based feature importance: per-feature sum of the squared-
-  /// error reduction its splits achieved, normalised to sum to 1 (all
-  /// zeros when the tree is a single leaf).
-  const std::vector<double>& feature_importance() const noexcept {
-    return importance_;
-  }
 
  private:
   struct Node {
@@ -57,9 +44,7 @@ class DecisionTreeRegressor : public Regressor {
 
   DecisionTreeOptions options_;
   std::vector<Node> nodes_;
-  std::vector<double> importance_;
   std::size_t depth_ = 0;
-  util::Rng rng_;
 };
 
 }  // namespace prionn::ml

@@ -1,7 +1,6 @@
 #include "ml/knn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -35,19 +34,9 @@ double KnnRegressor::predict(std::span<const double> x) const {
   std::partial_sort(dist_target.begin(),
                     dist_target.begin() + static_cast<std::ptrdiff_t>(k),
                     dist_target.end());
-  if (!options_.distance_weighted) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < k; ++i) acc += dist_target[i].second;
-    return acc / static_cast<double>(k);
-  }
-  double weighted = 0.0, weight_sum = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    // An exact-distance-0 neighbour dominates via the epsilon floor.
-    const double w = 1.0 / (std::sqrt(dist_target[i].first) + 1e-9);
-    weighted += w * dist_target[i].second;
-    weight_sum += w;
-  }
-  return weighted / weight_sum;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < k; ++i) acc += dist_target[i].second;
+  return acc / static_cast<double>(k);
 }
 
 }  // namespace prionn::ml

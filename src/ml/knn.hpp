@@ -10,17 +10,14 @@
 
 namespace prionn::ml {
 
+/// The prediction is the unweighted mean target of the k nearest rows.
 struct KnnOptions {
   std::size_t k = 5;
-  /// When true, neighbour targets are weighted by inverse distance.
-  bool distance_weighted = false;
 };
 
 class KnnRegressor : public Regressor {
  public:
   explicit KnnRegressor(KnnOptions options = {});
-
-  KnnOptions options() const noexcept { return options_; }
 
   void fit(const Dataset& data) override;
   double predict(std::span<const double> x) const override;

@@ -1,9 +1,8 @@
 #include "ml/random_forest.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace prionn::ml {
@@ -17,14 +16,6 @@ RandomForestRegressor::RandomForestRegressor(RandomForestOptions options)
 void RandomForestRegressor::fit(const Dataset& data) {
   if (data.empty())
     throw std::invalid_argument("RandomForest::fit: empty data");
-  DecisionTreeOptions tree_opts = options_.tree;
-  // max_features == 0 means "all features" (regression-forest default);
-  // the tree treats 0 the same way, so no adjustment is needed here.
-
-  const auto sample_count = static_cast<std::size_t>(
-      std::max(1.0, options_.bootstrap_fraction *
-                        static_cast<double>(data.rows())));
-
   trees_.clear();
   trees_.resize(options_.trees);
   util::Rng seeder(options_.seed);
@@ -35,29 +26,14 @@ void RandomForestRegressor::fit(const Dataset& data) {
 
   util::parallel_for(0, options_.trees, [&](std::size_t t) {
     util::Rng rng(seeds[t]);
-    std::vector<std::size_t> rows(sample_count);
+    std::vector<std::size_t> rows(data.rows());
     for (auto& r : rows)
       r = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(data.rows()) - 1));
-    DecisionTreeOptions opts = tree_opts;
-    opts.seed = rng();
-    auto tree = std::make_unique<DecisionTreeRegressor>(opts);
+    auto tree = std::make_unique<DecisionTreeRegressor>(options_.tree);
     tree->fit_rows(data, rows);
     trees_[t] = std::move(tree);
   });
-}
-
-std::vector<double> RandomForestRegressor::feature_importance() const {
-  if (trees_.empty())
-    throw std::logic_error("RandomForest::feature_importance: not fitted");
-  std::vector<double> total(trees_.front()->feature_importance().size(),
-                            0.0);
-  for (const auto& tree : trees_) {
-    const auto& imp = tree->feature_importance();
-    for (std::size_t f = 0; f < total.size(); ++f) total[f] += imp[f];
-  }
-  for (double& g : total) g /= static_cast<double>(trees_.size());
-  return total;
 }
 
 double RandomForestRegressor::predict(std::span<const double> x) const {

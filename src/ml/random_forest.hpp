@@ -1,8 +1,9 @@
-// Random Forest regressor: bagged CART trees with per-split feature
-// subsampling. The paper identifies RF as the strongest traditional
-// baseline and compares PRIONN against it throughout.
+// Random Forest regressor: bagged CART trees. The paper identifies RF as
+// the strongest traditional baseline and compares PRIONN against it
+// throughout.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -10,13 +11,12 @@
 
 namespace prionn::ml {
 
+/// Each tree draws a bootstrap sample of as many rows as the data holds;
+/// that is its only source of diversity, as in scikit-learn's default
+/// regression forest.
 struct RandomForestOptions {
   std::size_t trees = 50;
-  /// tree.max_features 0 keeps all features per split — the scikit-learn
-  /// default for regression forests (diversity comes from bootstrapping);
-  /// set it explicitly for classification-style sqrt(d) subsampling.
   DecisionTreeOptions tree;
-  double bootstrap_fraction = 1.0;
   std::uint64_t seed = 13;
 };
 
@@ -28,9 +28,6 @@ class RandomForestRegressor : public Regressor {
   double predict(std::span<const double> x) const override;
 
   std::size_t tree_count() const noexcept { return trees_.size(); }
-
-  /// Mean of the member trees' impurity-based importances (sums to ~1).
-  std::vector<double> feature_importance() const;
 
  private:
   RandomForestOptions options_;

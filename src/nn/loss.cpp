@@ -50,10 +50,4 @@ LossResult softmax_cross_entropy(const tensor::Tensor& logits,
   return result;
 }
 
-tensor::Tensor softmax_probabilities(const tensor::Tensor& logits) {
-  tensor::Tensor probs = logits;
-  tensor::softmax_rows_inplace(probs);
-  return probs;
-}
-
 }  // namespace prionn::nn

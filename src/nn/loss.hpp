@@ -33,7 +33,4 @@ struct LossResult {
 LossResult softmax_cross_entropy(const tensor::Tensor& logits,
                                  std::span<const std::uint32_t> labels);
 
-/// Per-row softmax probabilities of (N x C) logits (prediction path).
-tensor::Tensor softmax_probabilities(const tensor::Tensor& logits);
-
 }  // namespace prionn::nn

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
-#include "obs/obs.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace prionn::nn {
 
@@ -33,52 +29,20 @@ Shape Network::output_shape(Shape input) const {
   return input;
 }
 
-namespace {
-
-// Per-layer-kind accumulated time. Only reached when layer timing is on,
-// so a mutex-guarded registry lookup per layer is acceptable; the
-// always-on path below pays one relaxed atomic load per forward/backward.
-void account_layer_ns(const char* direction, const std::string& kind,
-                      std::uint64_t ns) {
-  obs::registry()
-      .counter("prionn_nn_" + std::string(direction) + "_ns_total_" + kind,
-               "accumulated " + std::string(direction) +
-                   " time in this layer kind, nanoseconds")
-      .inc(ns);
-}
-
-}  // namespace
-
 Tensor Network::forward(const Tensor& batch, bool training) {
   if (layers_.empty()) return batch;
   // The first layer reads the caller's batch in place; each later one
   // reads its predecessor's output.
-  const bool timed = obs::layer_timing_enabled();
   Tensor x;
   const Tensor* in = &batch;
   for (const auto& l : layers_) {
-    if (timed) {
-      util::Timer timer;
-      x = l->forward(*in, training);
-      account_layer_ns("forward", l->kind(), timer.elapsed_ns());
-    } else {
-      x = l->forward(*in, training);
-    }
+    x = l->forward(*in, training);
     in = &x;
   }
   return x;
 }
 
 Tensor Network::backward(const Tensor& grad_output) {
-  if (obs::layer_timing_enabled()) {
-    Tensor g = grad_output;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      util::Timer timer;
-      g = (*it)->backward(g);
-      account_layer_ns("backward", (*it)->kind(), timer.elapsed_ns());
-    }
-    return g;
-  }
   Tensor g = grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
     g = (*it)->backward(g);
@@ -117,16 +81,11 @@ Tensor Network::gather(const Tensor& batch,
 
 double Network::train_batch(const Tensor& inputs,
                             std::span<const std::uint32_t> labels,
-                            Adam& opt, double gradient_clip,
-                            double max_gradient_norm) {
+                            Adam& opt, double max_gradient_norm) {
   zero_gradients();
   const Tensor logits = forward(inputs, /*training=*/true);
   LossResult loss = softmax_cross_entropy(logits, labels);
   backward(loss.grad);
-  if (gradient_clip > 0.0) {
-    for (Tensor* g : gradients())
-      tensor::clip_inplace(g->span(), static_cast<float>(gradient_clip));
-  }
   if (max_gradient_norm > 0.0) {
     double sq = 0.0;
     for (const Tensor* g : gradients())
@@ -156,11 +115,8 @@ FitReport Network::fit(const Tensor& inputs,
 
   FitReport report;
   report.epoch_loss.reserve(options.epochs);
-  const double base_lr = opt.learning_rate();
-  double best_loss = std::numeric_limits<double>::infinity();
-  std::size_t epochs_without_improvement = 0;
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    if (options.shuffle) rng.shuffle(order);
+    rng.shuffle(order);
     double loss_sum = 0.0;
     std::size_t batches = 0;
     for (std::size_t start = 0; start < n; start += options.batch_size) {
@@ -169,43 +125,13 @@ FitReport Network::fit(const Tensor& inputs,
       const Tensor x = gather(inputs, idx);
       std::vector<std::uint32_t> y(count);
       for (std::size_t i = 0; i < count; ++i) y[i] = labels[idx[i]];
-      loss_sum += train_batch(x, y, opt, options.gradient_clip,
-                              options.max_gradient_norm);
+      loss_sum += train_batch(x, y, opt, options.max_gradient_norm);
       ++batches;
     }
-    const double epoch_loss =
-        batches ? loss_sum / static_cast<double>(batches) : 0.0;
-    report.epoch_loss.push_back(epoch_loss);
-
-    if (options.lr_decay_per_epoch != 1.0)
-      opt.set_learning_rate(opt.learning_rate() *
-                            options.lr_decay_per_epoch);
-    if (options.early_stop_patience > 0) {
-      if (epoch_loss < best_loss - options.min_loss_delta) {
-        best_loss = epoch_loss;
-        epochs_without_improvement = 0;
-      } else if (++epochs_without_improvement >=
-                 options.early_stop_patience) {
-        break;
-      }
-    }
+    report.epoch_loss.push_back(
+        batches ? loss_sum / static_cast<double>(batches) : 0.0);
   }
-  if (options.lr_decay_per_epoch != 1.0) opt.set_learning_rate(base_lr);
   return report;
-}
-
-std::vector<std::uint32_t> Network::predict_classes(const Tensor& inputs) {
-  const Tensor logits = forward(inputs, /*training=*/false);
-  const std::size_t n = logits.dim(0), c = logits.dim(1);
-  std::vector<std::uint32_t> out(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = static_cast<std::uint32_t>(tensor::argmax(
-        std::span<const float>(logits.data() + i * c, c)));
-  return out;
-}
-
-Tensor Network::predict_probabilities(const Tensor& inputs) {
-  return softmax_probabilities(forward(inputs, /*training=*/false));
 }
 
 std::vector<Network::Top1> Network::predict_top1(const Tensor& inputs) {
@@ -225,29 +151,6 @@ std::vector<Network::Top1> Network::predict_top1(const Tensor& inputs) {
     out[i].probability = 1.0 / denom;
   }
   return out;
-}
-
-double Network::accuracy(const Tensor& inputs,
-                         std::span<const std::uint32_t> labels) {
-  const auto pred = predict_classes(inputs);
-  if (pred.empty()) return 0.0;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i)
-    if (pred[i] == labels[i]) ++hits;
-  return static_cast<double>(hits) / static_cast<double>(pred.size());
-}
-
-std::string Network::summary(const Shape& input_sample) const {
-  std::ostringstream os;
-  Shape shape = input_sample;
-  os << "input " << tensor::shape_to_string(shape) << "\n";
-  for (const auto& l : layers_) {
-    shape = l->output_shape(shape);
-    os << "  " << l->kind() << " -> " << tensor::shape_to_string(shape)
-       << " (" << l->parameter_count() << " params)\n";
-  }
-  os << "total parameters: " << parameter_count() << "\n";
-  return os.str();
 }
 
 void Network::save(std::ostream& os) const { save_network(os, *this); }

@@ -1,15 +1,14 @@
 // Sequential network container with a classifier-oriented training API:
 // fit() runs mini-batch epochs against softmax cross-entropy (the paper's
-// models are classifiers over value bins), predict_classes()/
-// predict_probabilities() serve inference, and repeated fit() calls realise
-// the paper's warm-start retraining protocol.
+// models are classifiers over value bins), predict_top1() serves
+// inference, and repeated fit() calls realise the paper's warm-start
+// retraining protocol.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -17,24 +16,16 @@
 
 namespace prionn::nn {
 
+/// Every epoch shuffles the samples and runs every mini-batch: a fit's
+/// work is epochs x batches, with no data-dependent early exit.
 struct FitOptions {
   std::size_t epochs = 10;
   std::size_t batch_size = 32;
-  bool shuffle = true;
   std::uint64_t shuffle_seed = 1;
-  double gradient_clip = 0.0;  // 0 disables element-wise clipping
   /// Divergence guard: when > 0, a mini-batch whose global gradient L2
   /// norm exceeds this throws TrainingDiverged *before* the optimiser
   /// step, leaving the weights untouched (0 = off).
   double max_gradient_norm = 0.0;
-  /// Learning-rate schedule: the optimiser's rate is multiplied by this
-  /// factor after every epoch (1.0 = constant). The base rate is restored
-  /// when fit() returns, so warm-start refits see the same schedule.
-  double lr_decay_per_epoch = 1.0;
-  /// Early stopping: stop when the epoch loss fails to improve by at
-  /// least `min_loss_delta` for `patience` consecutive epochs (0 = off).
-  std::size_t early_stop_patience = 0;
-  double min_loss_delta = 1e-4;
 };
 
 struct FitReport {
@@ -83,19 +74,6 @@ class Network {
   FitReport fit(const Tensor& inputs, std::span<const std::uint32_t> labels,
                 Adam& opt, const FitOptions& options = {});
 
-  /// One gradient step on one mini-batch; returns the batch loss. Throws
-  /// TrainingDiverged on a non-finite loss or (when max_gradient_norm > 0)
-  /// an exploding gradient, before any weight is updated.
-  double train_batch(const Tensor& inputs,
-                     std::span<const std::uint32_t> labels, Adam& opt,
-                     double gradient_clip = 0.0,
-                     double max_gradient_norm = 0.0);
-
-  /// Argmax class per sample.
-  std::vector<std::uint32_t> predict_classes(const Tensor& inputs);
-  /// Softmax probability rows (N x C).
-  Tensor predict_probabilities(const Tensor& inputs);
-
   /// Argmax class plus its softmax probability, per sample. One forward
   /// pass and no N x C probability tensor — the serving batch path wants
   /// both the class and a confidence without paying for the full softmax
@@ -106,17 +84,17 @@ class Network {
   };
   std::vector<Top1> predict_top1(const Tensor& inputs);
 
-  /// Fraction of samples whose argmax matches the label.
-  double accuracy(const Tensor& inputs,
-                  std::span<const std::uint32_t> labels);
-
-  /// One-line structural summary for logs.
-  std::string summary(const Shape& input_sample) const;
-
   void save(std::ostream& os) const;
   static Network load(std::istream& is);
 
  private:
+  /// One gradient step on one mini-batch; returns the batch loss. Throws
+  /// TrainingDiverged on a non-finite loss or (when max_gradient_norm > 0)
+  /// an exploding gradient, before any weight is updated.
+  double train_batch(const Tensor& inputs,
+                     std::span<const std::uint32_t> labels, Adam& opt,
+                     double max_gradient_norm);
+
   /// Gather rows `idx` of a batch tensor into a contiguous sub-batch.
   static Tensor gather(const Tensor& batch, std::span<const std::size_t> idx);
 

@@ -10,10 +10,7 @@
 
 namespace prionn::nn {
 
-Adam::Adam(double lr, double beta1, double beta2, double eps,
-           double weight_decay)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps),
-      weight_decay_(weight_decay) {
+Adam::Adam(double lr) : lr_(lr) {
   if (lr <= 0.0) throw std::invalid_argument("Adam: lr must be positive");
 }
 
@@ -42,15 +39,14 @@ void Adam::step(const std::vector<tensor::Tensor*>& params,
       st.t = 0;
     }
     ++st.t;
-    const auto b1 = static_cast<float>(beta1_);
-    const auto b2 = static_cast<float>(beta2_);
-    const auto wd = static_cast<float>(weight_decay_);
-    const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(st.t));
-    const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(st.t));
+    const auto b1 = static_cast<float>(kBeta1);
+    const auto b2 = static_cast<float>(kBeta2);
+    const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(st.t));
+    const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(st.t));
     const auto alpha = static_cast<float>(lr_ * std::sqrt(bc2) / bc1);
-    const auto eps = static_cast<float>(eps_);
+    const auto eps = static_cast<float>(kEps);
     for (std::size_t i = 0; i < w.size(); ++i) {
-      const float gi = g[i] + wd * w[i];
+      const float gi = g[i];
       st.m[i] = b1 * st.m[i] + (1.0f - b1) * gi;
       st.v[i] = b2 * st.v[i] + (1.0f - b2) * gi * gi;
       w[i] -= alpha * st.m[i] / (std::sqrt(st.v[i]) + eps);

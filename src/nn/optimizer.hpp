@@ -12,21 +12,19 @@
 
 namespace prionn::nn {
 
-/// Adam (Kingma & Ba 2015) with bias correction.
+/// Adam (Kingma & Ba 2015) with bias correction and that paper's
+/// beta1 = 0.9, beta2 = 0.999, eps = 1e-8; only the learning rate is set.
 class Adam {
  public:
-  explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8, double weight_decay = 0.0);
+  explicit Adam(double lr = 1e-3);
   /// Apply one update given parallel vectors of parameters and gradients.
   void step(const std::vector<tensor::Tensor*>& params,
             const std::vector<tensor::Tensor*>& grads);
-  double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
 
   /// Persist / restore the per-parameter moments in the order of `params`
   /// (Network::parameters() order is deterministic, so a checkpointed
-  /// warm-start retrain resumes bit-exactly). Hyper-parameters are not
-  /// serialised; construct the Adam with the same options first.
+  /// warm-start retrain resumes bit-exactly). The learning rate is not
+  /// serialised; construct the Adam with the same rate first.
   void save(std::ostream& os,
             const std::vector<tensor::Tensor*>& params) const;
   void load(std::istream& is, const std::vector<tensor::Tensor*>& params);
@@ -36,7 +34,10 @@ class Adam {
     tensor::Tensor m, v;
     std::size_t t = 0;
   };
-  double lr_, beta1_, beta2_, eps_, weight_decay_;
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+  double lr_;
   std::unordered_map<const tensor::Tensor*, Moments> moments_;
 };
 

@@ -49,9 +49,7 @@ void EventLog::append(const RetrainEvent& e) {
   o["loss"] = e.loss;
   o["holdback_accuracy"] = e.holdback_accuracy;
   o["accepted"] = e.accepted;
-  o["rollback"] = e.rollback;
   o["benched"] = e.benched;
-  o["checkpoint_generation"] = as_number(e.checkpoint_generation);
   o["duration_ms"] = e.duration_ms;
   util::ScopedLock lock(mu_);
   lines_.push_back(json_serialize(o));
@@ -113,13 +111,10 @@ std::optional<RetrainEvent> EventLog::parse_retrain(
   const auto loss = json_array_field(*o, "loss");
   const auto holdback_accuracy = json_number_field(*o, "holdback_accuracy");
   const auto accepted = json_bool_field(*o, "accepted");
-  const auto rollback = json_bool_field(*o, "rollback");
   const auto benched = json_bool_field(*o, "benched");
-  const auto generation = json_index_field(*o, "checkpoint_generation");
   const auto duration_ms = json_number_field(*o, "duration_ms");
   if (!window_id || !job_index || !window_size || !holdback_size || !loss ||
-      !holdback_accuracy || !accepted || !rollback || !benched ||
-      !generation || !duration_ms)
+      !holdback_accuracy || !accepted || !benched || !duration_ms)
     return std::nullopt;
   e.window_id = *window_id;
   e.job_index = *job_index;
@@ -128,9 +123,7 @@ std::optional<RetrainEvent> EventLog::parse_retrain(
   e.loss = *loss;
   e.holdback_accuracy = *holdback_accuracy;
   e.accepted = *accepted;
-  e.rollback = *rollback;
   e.benched = *benched;
-  e.checkpoint_generation = *generation;
   e.duration_ms = *duration_ms;
   return e;
 }

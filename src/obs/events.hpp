@@ -2,7 +2,7 @@
 // prediction window (the stretch of submissions between retrain
 // boundaries), and per trace-ingestion pass, so a BENCH run or a
 // long-running service leaves a machine-readable account of the online
-// protocol: loss trajectories, holdback accuracy, rollback and bench
+// protocol: loss trajectories, holdback accuracy, accept and bench
 // decisions, fallback provenance counts, quarantine counts, and the
 // checkpoint generation each window was served under.
 //
@@ -30,10 +30,8 @@ struct RetrainEvent {
   std::size_t holdback_size = 0;   // held-back validation batch (0 = off)
   std::vector<double> loss;        // per-head final losses (runtime, read, write)
   double holdback_accuracy = -1.0; // -1 when the guard did not run
-  bool accepted = false;
-  bool rollback = false;           // snapshot restore performed
+  bool accepted = false;           // false: the pre-attempt model serves on
   bool benched = false;            // NN benched once this attempt ended
-  std::uint64_t checkpoint_generation = 0;  // durable writes so far
   double duration_ms = 0.0;
 };
 

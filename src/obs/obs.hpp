@@ -34,16 +34,6 @@ inline Registry& registry() { return Registry::global(); }
 inline EventLog& event_log() { return EventLog::global(); }
 inline TraceBuffer& trace_buffer() { return TraceBuffer::global(); }
 
-/// Per-layer forward/backward timing in nn::Network. Off by default: even
-/// in enabled builds the cost is one relaxed load per forward() call
-/// until someone turns it on.
-void set_layer_timing(bool on) noexcept;
-bool layer_timing_raw() noexcept;
-inline bool layer_timing_enabled() noexcept {
-  if constexpr (!kEnabled) return false;
-  return layer_timing_raw();
-}
-
 /// Slow-path event emission; compiled out entirely under PRIONN_OBS=OFF,
 /// gated by the runtime switch otherwise.
 template <typename Event>

@@ -7,16 +7,13 @@
 
 namespace prionn::sched {
 
-BurstDetector::BurstDetector(BurstDetectorOptions options)
-    : options_(options) {}
-
-double BurstDetector::threshold_of(const std::vector<double>& series) const {
+double burst_threshold(const std::vector<double>& series) {
   const std::span<const double> s(series);
-  return util::mean(s) + options_.sigma_multiplier * util::stddev(s);
+  return util::mean(s) + util::stddev(s);
 }
 
-std::vector<bool> BurstDetector::detect(const std::vector<double>& series,
-                                        double threshold) const {
+std::vector<bool> detect_bursts(const std::vector<double>& series,
+                                double threshold) {
   std::vector<bool> bursts(series.size());
   for (std::size_t i = 0; i < series.size(); ++i)
     bursts[i] = series[i] > threshold;

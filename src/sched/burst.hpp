@@ -1,6 +1,6 @@
 // IO-burst detection and windowed scoring (section 4.3). A burst is any
-// timeline bucket whose aggregate bandwidth exceeds mean + k standard
-// deviations of the *actual* system IO distribution (the paper uses k = 1,
+// timeline bucket whose aggregate bandwidth exceeds mean + one standard
+// deviation of the *actual* system IO distribution (the paper's k = 1,
 // marked at 1.35e9 bytes/s on Cab). Predicted bursts are matched to actual
 // bursts within a tolerance window, yielding the sensitivity/precision
 // curves of Figs. 13 and 15.
@@ -11,24 +11,13 @@
 
 namespace prionn::sched {
 
-struct BurstDetectorOptions {
-  double sigma_multiplier = 1.0;  // threshold = mean + k * std
-};
+/// The burst threshold of a reference series (the actual system IO):
+/// its mean plus one standard deviation.
+double burst_threshold(const std::vector<double>& series);
 
-class BurstDetector {
- public:
-  explicit BurstDetector(BurstDetectorOptions options = {});
-
-  /// Compute the threshold from a reference series (the actual system IO).
-  double threshold_of(const std::vector<double>& series) const;
-
-  /// Flag buckets above the threshold.
-  std::vector<bool> detect(const std::vector<double>& series,
-                           double threshold) const;
-
- private:
-  BurstDetectorOptions options_;
-};
+/// Flag buckets above the threshold.
+std::vector<bool> detect_bursts(const std::vector<double>& series,
+                                double threshold);
 
 struct BurstScore {
   std::size_t true_positives = 0;

@@ -33,37 +33,4 @@ void softmax_rows_inplace(Tensor& t) {
     softmax_inplace(std::span<float>(t.data() + r * cols, cols));
 }
 
-float sum(std::span<const float> xs) noexcept {
-  float acc = 0.0f;
-  for (const float x : xs) acc += x;
-  return acc;
-}
-
-float dot(std::span<const float> a, std::span<const float> b) noexcept {
-  float acc = 0.0f;
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-float squared_norm(std::span<const float> xs) noexcept {
-  float acc = 0.0f;
-  for (const float x : xs) acc += x * x;
-  return acc;
-}
-
-std::size_t clip_inplace(std::span<float> xs, float limit) noexcept {
-  std::size_t clipped = 0;
-  for (float& x : xs) {
-    if (x > limit) {
-      x = limit;
-      ++clipped;
-    } else if (x < -limit) {
-      x = -limit;
-      ++clipped;
-    }
-  }
-  return clipped;
-}
-
 }  // namespace prionn::tensor

@@ -17,13 +17,4 @@ void softmax_inplace(std::span<float> xs) noexcept;
 /// Row-wise softmax of a rank-2 tensor, in place.
 void softmax_rows_inplace(Tensor& t);
 
-float sum(std::span<const float> xs) noexcept;
-float dot(std::span<const float> a, std::span<const float> b) noexcept;
-
-/// Squared L2 norm.
-float squared_norm(std::span<const float> xs) noexcept;
-
-/// Clip every element into [-limit, limit]; returns count of clipped values.
-std::size_t clip_inplace(std::span<float> xs, float limit) noexcept;
-
 }  // namespace prionn::tensor

@@ -74,9 +74,12 @@ TEST(FiniteGuardTest, AllZeroImagesTrainToFiniteLossAndFinitePredictions) {
   for (const double loss : report.epoch_loss)
     EXPECT_TRUE(std::isfinite(loss)) << "epoch loss diverged";
 
-  const Tensor probs = net.predict_probabilities(batch);
-  for (std::size_t i = 0; i < probs.size(); ++i)
-    EXPECT_TRUE(std::isfinite(probs[i])) << "prediction " << i;
+  const auto top1 = net.predict_top1(batch);
+  ASSERT_EQ(top1.size(), scripts.size());
+  for (std::size_t i = 0; i < top1.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(top1[i].probability)) << "prediction " << i;
+    EXPECT_LT(top1[i].cls, kClasses) << "prediction " << i;
+  }
 }
 
 TEST(FiniteGuardTest, NanPoisonedImagesTripTheLossGuard) {

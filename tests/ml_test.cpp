@@ -212,43 +212,6 @@ TEST(RandomForest, UnfittedThrows) {
                std::logic_error);
 }
 
-TEST(DecisionTree, FeatureImportanceIdentifiesSignal) {
-  // Only feature 0 carries signal; importance must concentrate there.
-  const auto d = step_data(300, 0.5, 9);
-  ml::DecisionTreeRegressor tree;
-  tree.fit(d);
-  const auto& imp = tree.feature_importance();
-  ASSERT_EQ(imp.size(), 2u);
-  EXPECT_GT(imp[0], 0.9);
-  EXPECT_NEAR(imp[0] + imp[1], 1.0, 1e-9);
-}
-
-TEST(DecisionTree, ConstantTargetHasZeroImportance) {
-  ml::Dataset d(2);
-  for (int i = 0; i < 10; ++i)
-    d.add_row(std::vector<double>{static_cast<double>(i), 1.0}, 5.0);
-  ml::DecisionTreeRegressor tree;
-  tree.fit(d);
-  for (const double g : tree.feature_importance()) EXPECT_EQ(g, 0.0);
-}
-
-TEST(RandomForest, FeatureImportanceAveragesTrees) {
-  const auto d = step_data(300, 1.0, 10);
-  ml::RandomForestOptions opts;
-  opts.trees = 15;
-  ml::RandomForestRegressor forest(opts);
-  forest.fit(d);
-  const auto imp = forest.feature_importance();
-  ASSERT_EQ(imp.size(), 2u);
-  EXPECT_GT(imp[0], imp[1]);
-  EXPECT_NEAR(imp[0] + imp[1], 1.0, 1e-6);
-}
-
-TEST(RandomForest, ImportanceBeforeFitThrows) {
-  ml::RandomForestRegressor forest;
-  EXPECT_THROW(forest.feature_importance(), std::logic_error);
-}
-
 // ----------------------------------------------------------------- kNN ---
 
 TEST(Knn, OneNearestNeighbourMemorises) {
@@ -273,19 +236,6 @@ TEST(Knn, AveragesKNeighbours) {
   ml::KnnRegressor knn(opts);
   knn.fit(d);
   EXPECT_DOUBLE_EQ(knn.predict(std::vector<double>{0.5}), 5.0);
-}
-
-TEST(Knn, DistanceWeightingFavoursCloser) {
-  ml::Dataset d(1);
-  d.add_row(std::vector<double>{0.0}, 0.0);
-  d.add_row(std::vector<double>{10.0}, 100.0);
-  ml::KnnOptions opts;
-  opts.k = 2;
-  opts.distance_weighted = true;
-  ml::KnnRegressor knn(opts);
-  knn.fit(d);
-  const double near_zero = knn.predict(std::vector<double>{1.0});
-  EXPECT_LT(near_zero, 50.0);
 }
 
 TEST(Knn, KLargerThanDataClamps) {

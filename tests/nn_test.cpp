@@ -545,6 +545,16 @@ void make_xor_data(Tensor& x, std::vector<std::uint32_t>& y, std::size_t n,
   }
 }
 
+/// Fraction of samples whose predicted class matches the label.
+double accuracy(nn::Network& net, const Tensor& x,
+                std::span<const std::uint32_t> y) {
+  const auto top1 = net.predict_top1(x);
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < top1.size(); ++i)
+    if (top1[i].cls == y[i]) ++hits;
+  return static_cast<double>(hits) / static_cast<double>(top1.size());
+}
+
 nn::Network make_mlp(std::uint64_t seed) {
   prionn::util::Rng rng(seed);
   nn::Network net;
@@ -567,7 +577,7 @@ TEST(Network, LearnsXor) {
   fit.batch_size = 32;
   const auto report = net.fit(x, y, opt, fit);
   EXPECT_LT(report.final_loss(), report.epoch_loss.front());
-  EXPECT_GT(net.accuracy(x, y), 0.9);
+  EXPECT_GT(accuracy(net, x, y), 0.9);
 }
 
 TEST(Network, WarmStartImproves) {
@@ -579,24 +589,39 @@ TEST(Network, WarmStartImproves) {
   nn::FitOptions fit;
   fit.epochs = 10;
   net.fit(x, y, opt, fit);
-  const double acc1 = net.accuracy(x, y);
+  const double acc1 = accuracy(net, x, y);
   net.fit(x, y, opt, fit);  // continue training — warm start
   net.fit(x, y, opt, fit);
-  const double acc2 = net.accuracy(x, y);
+  const double acc2 = accuracy(net, x, y);
   EXPECT_GE(acc2, acc1 - 0.02);  // monotone up to batch noise
   EXPECT_GT(acc2, 0.85);
 }
 
-TEST(Network, PredictClassesMatchesArgmaxOfProbabilities) {
-  auto net = make_mlp(35);
+TEST(Network, PredictTop1MatchesSoftmaxOfLogits) {
+  prionn::util::Rng rng(35);
+  nn::Network net;
+  net.emplace<nn::Dense>(2, 16, rng);
+  net.emplace<nn::Relu>();
+  net.emplace<nn::Dense>(16, 5, rng);
   const Tensor x = random_tensor({8, 2}, 36);
-  const auto classes = net.predict_classes(x);
-  const Tensor probs = net.predict_probabilities(x);
+  const Tensor logits = net.forward(x, false);
+  const auto top1 = net.predict_top1(x);
+  ASSERT_EQ(top1.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    const std::size_t cls =
-        probs.at(i, 0) >= probs.at(i, 1) ? 0u : 1u;
-    EXPECT_EQ(classes[i], cls);
-    EXPECT_NEAR(probs.at(i, 0) + probs.at(i, 1), 1.0f, 1e-5f);
+    // The class is the first maximal logit.
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < 5; ++c)
+      if (logits.at(i, c) > logits.at(i, best)) best = c;
+    EXPECT_EQ(top1[i].cls, best) << "sample " << i;
+    // The probability is that class's softmax, in double precision.
+    double denom = 0.0;
+    for (std::size_t c = 0; c < 5; ++c)
+      denom += std::exp(static_cast<double>(logits.at(i, c)));
+    const double expected =
+        std::exp(static_cast<double>(logits.at(i, best))) / denom;
+    EXPECT_NEAR(top1[i].probability, expected, 1e-12) << "sample " << i;
+    EXPECT_GE(top1[i].probability, 0.2);  // at least 1 / classes
+    EXPECT_LE(top1[i].probability, 1.0);
   }
 }
 
@@ -610,9 +635,6 @@ TEST(Network, OutputShapeComposition) {
   net.emplace<nn::Dense>(4 * 8 * 8, 10, rng);
   EXPECT_EQ(net.output_shape({1, 16, 16}), (prionn::tensor::Shape{10}));
   EXPECT_GT(net.parameter_count(), 0u);
-  const auto text = net.summary({1, 16, 16});
-  EXPECT_NE(text.find("conv2d"), std::string::npos);
-  EXPECT_NE(text.find("dense"), std::string::npos);
 }
 
 TEST(Network, SaveLoadRoundTripPreservesPredictions) {
@@ -628,9 +650,13 @@ TEST(Network, SaveLoadRoundTripPreservesPredictions) {
   std::stringstream ss;
   net.save(ss);
   auto loaded = nn::Network::load(ss);
-  const auto before = net.predict_classes(x);
-  const auto after = loaded.predict_classes(x);
-  EXPECT_EQ(before, after);
+  const auto before = net.predict_top1(x);
+  const auto after = loaded.predict_top1(x);
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i].cls, after[i].cls);
+    EXPECT_EQ(before[i].probability, after[i].probability);
+  }
 }
 
 TEST(Network, SaveLoadAllLayerKinds) {
@@ -683,49 +709,7 @@ TEST(Network, Conv1dNetworkTrains) {
   nn::FitOptions fit;
   fit.epochs = 30;
   net.fit(x, y, opt, fit);
-  EXPECT_GT(net.accuracy(x, y), 0.9);
-}
-
-TEST(Network, LrDecayScheduleRestoresBaseRate) {
-  Tensor x;
-  std::vector<std::uint32_t> y;
-  make_xor_data(x, y, 64, 45);
-  auto net = make_mlp(46);
-  nn::Adam opt(0.01);
-  nn::FitOptions fit;
-  fit.epochs = 5;
-  fit.lr_decay_per_epoch = 0.5;
-  net.fit(x, y, opt, fit);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.01);  // restored after fit
-}
-
-TEST(Network, EarlyStoppingHaltsOnPlateau) {
-  Tensor x;
-  std::vector<std::uint32_t> y;
-  make_xor_data(x, y, 64, 47);
-  auto net = make_mlp(48);
-  // A tiny learning rate plateaus immediately.
-  nn::Adam opt(1e-9);
-  nn::FitOptions fit;
-  fit.epochs = 50;
-  fit.early_stop_patience = 3;
-  fit.min_loss_delta = 1e-3;
-  const auto report = net.fit(x, y, opt, fit);
-  EXPECT_LT(report.epoch_loss.size(), 50u);
-  EXPECT_GE(report.epoch_loss.size(), 3u);
-}
-
-TEST(Network, GradientClippingBounds) {
-  Tensor x;
-  std::vector<std::uint32_t> y;
-  make_xor_data(x, y, 32, 43);
-  auto net = make_mlp(44);
-  nn::Adam opt(0.01);
-  // Train one clipped batch; gradients afterwards must respect the bound.
-  net.train_batch(x, y, opt, /*gradient_clip=*/1e-4);
-  for (const auto* g : net.gradients())
-    for (std::size_t i = 0; i < g->size(); ++i)
-      EXPECT_LE(std::abs((*g)[i]), 1e-4f + 1e-7f);
+  EXPECT_GT(accuracy(net, x, y), 0.9);
 }
 
 // ----------------------------------------------------- inference forward ---

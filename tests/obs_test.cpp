@@ -213,9 +213,7 @@ TEST(ObsEvents, RetrainRoundTrip) {
   e.loss = {0.25, 1.5, 2.75};
   e.holdback_accuracy = 0.875;
   e.accepted = false;
-  e.rollback = true;
   e.benched = true;
-  e.checkpoint_generation = 2;
   e.duration_ms = 123.5;
   obs::EventLog log;
   log.append(e);
@@ -229,13 +227,35 @@ TEST(ObsEvents, RetrainRoundTrip) {
   EXPECT_EQ(parsed->loss, e.loss);
   EXPECT_DOUBLE_EQ(parsed->holdback_accuracy, e.holdback_accuracy);
   EXPECT_EQ(parsed->accepted, e.accepted);
-  EXPECT_EQ(parsed->rollback, e.rollback);
   EXPECT_EQ(parsed->benched, e.benched);
-  EXPECT_EQ(parsed->checkpoint_generation, e.checkpoint_generation);
   EXPECT_DOUBLE_EQ(parsed->duration_ms, e.duration_ms);
   // The discriminator keeps the parsers from crossing record types.
   EXPECT_FALSE(obs::EventLog::parse_window(log.lines()[0]).has_value());
   EXPECT_FALSE(obs::EventLog::parse_ingest(log.lines()[0]).has_value());
+  // Neither key of the old schema is written.
+  EXPECT_EQ(log.lines()[0].find("\"rollback\""), std::string::npos);
+  EXPECT_EQ(log.lines()[0].find("checkpoint_generation"), std::string::npos);
+}
+
+// Retrain records written before "rollback" and "checkpoint_generation"
+// were dropped still parse: the parser ignores keys it does not read.
+TEST(ObsEvents, RetrainParsesLinesWithRetiredKeys) {
+  const std::string old_line =
+      R"({"accepted":false,"benched":false,"checkpoint_generation":4,)"
+      R"("duration_ms":12.5,"holdback_accuracy":-1,"holdback_size":0,)"
+      R"("job_index":200,"loss":[0.5,1,1.5],"rollback":true,)"
+      R"("type":"retrain","window_id":1,"window_size":100})";
+  const auto parsed = obs::EventLog::parse_retrain(old_line);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->window_id, 1u);
+  EXPECT_EQ(parsed->job_index, 200u);
+  EXPECT_EQ(parsed->window_size, 100u);
+  EXPECT_EQ(parsed->holdback_size, 0u);
+  EXPECT_EQ(parsed->loss, (std::vector<double>{0.5, 1.0, 1.5}));
+  EXPECT_DOUBLE_EQ(parsed->holdback_accuracy, -1.0);
+  EXPECT_FALSE(parsed->accepted);
+  EXPECT_FALSE(parsed->benched);
+  EXPECT_DOUBLE_EQ(parsed->duration_ms, 12.5);
 }
 
 TEST(ObsEvents, WindowRoundTrip) {

@@ -14,6 +14,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -301,14 +302,12 @@ TEST(Checkpoint, FileRoundTripAndLastGoodFallback) {
   core::OnlineCheckpointState st;
   st.next_index = 40;
   st.submissions_since_train = 0;
-  st.embedding_ready = true;
   core::write_checkpoint_file(path.str(), p.snapshot(), st);
 
   auto primary = core::resume_checkpoint(path.str());
   ASSERT_TRUE(primary.checkpoint.has_value());
   EXPECT_EQ(primary.source, core::CheckpointSource::kPrimary);
   EXPECT_EQ(primary.checkpoint->state.next_index, 40u);
-  EXPECT_TRUE(primary.checkpoint->state.embedding_ready);
   EXPECT_EQ(predictor_bytes(primary.checkpoint->predictor),
             predictor_bytes(p));
 
@@ -328,6 +327,67 @@ TEST(Checkpoint, FileRoundTripAndLastGoodFallback) {
   const auto cold = core::resume_checkpoint(path.str());
   EXPECT_FALSE(cold.checkpoint.has_value());
   EXPECT_EQ(cold.source, core::CheckpointSource::kNone);
+}
+
+namespace {
+
+/// A frame as format version 1 wrote it: the cursor followed by the
+/// embedding-ready byte that version 2 dropped.
+std::string version1_frame(std::string_view predictor_bytes,
+                           const core::OnlineCheckpointState& state) {
+  std::string payload = core::encode_checkpoint(predictor_bytes, state);
+  payload.push_back('\x01');
+  std::ostringstream os(std::ios::binary);
+  const auto put = [&os](auto v) {
+    os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(core::kCheckpointMagic);
+  put(std::uint32_t{1});
+  put(static_cast<std::uint64_t>(payload.size()));
+  put(prionn::util::crc32(payload));
+  os << payload;
+  return std::move(os).str();
+}
+
+}  // namespace
+
+TEST(Checkpoint, VersionOneFrameFallsBackToLastGoodOrColdStart) {
+  CheckpointPath path("prionn_test_version1.ckpt");
+  const core::PrionnPredictor p(tiny_predictor_options());
+  core::OnlineCheckpointState st;
+  st.next_index = 40;
+  const std::string old_frame = version1_frame(p.snapshot(), st);
+
+  std::istringstream is(old_frame, std::ios::binary);
+  try {
+    core::read_checkpoint(is);
+    ADD_FAILURE() << "a version-1 frame was accepted";
+  } catch (const core::CheckpointError& e) {
+    EXPECT_STREQ(e.what(), "unsupported checkpoint version 1");
+  }
+
+  const auto write_old = [&](const std::string& file) {
+    std::ofstream os(file, std::ios::binary | std::ios::trunc);
+    os << old_frame;
+  };
+  // A current last-good generation (cursor 40) behind a version-1
+  // primary.
+  core::write_checkpoint_file(path.str(), p.snapshot(), st);
+  st.next_index = 80;
+  core::write_checkpoint_file(path.str(), p.snapshot(), st);
+  write_old(path.str());
+  const auto last_good = core::resume_checkpoint(path.str());
+  ASSERT_TRUE(last_good.checkpoint.has_value());
+  EXPECT_EQ(last_good.source, core::CheckpointSource::kLastGood);
+  EXPECT_EQ(last_good.primary_error, "unsupported checkpoint version 1");
+  EXPECT_EQ(last_good.checkpoint->state.next_index, 40u);
+
+  // Both generations from version 1: nothing to resume from.
+  write_old(core::last_good_path(path.str()));
+  const auto cold = core::resume_checkpoint(path.str());
+  EXPECT_FALSE(cold.checkpoint.has_value());
+  EXPECT_EQ(cold.source, core::CheckpointSource::kNone);
+  EXPECT_EQ(cold.primary_error, "unsupported checkpoint version 1");
 }
 
 TEST(Checkpoint, TruncateFaultTearsPrimaryNotLastGood) {

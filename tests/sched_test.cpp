@@ -446,14 +446,12 @@ TEST(IoTimeline, RejectsBadBucketSize) {
 
 TEST(Burst, ThresholdIsMeanPlusSigma) {
   const std::vector<double> series = {0, 0, 0, 0, 10};
-  sc::BurstDetector det({1.0});
   const double mean = 2.0, sd = 4.0;
-  EXPECT_NEAR(det.threshold_of(series), mean + sd, 1e-9);
+  EXPECT_NEAR(sc::burst_threshold(series), mean + sd, 1e-9);
 }
 
 TEST(Burst, DetectFlagsAboveThreshold) {
-  sc::BurstDetector det;
-  const auto bursts = det.detect({1.0, 5.0, 2.0}, 2.5);
+  const auto bursts = sc::detect_bursts({1.0, 5.0, 2.0}, 2.5);
   EXPECT_FALSE(bursts[0]);
   EXPECT_TRUE(bursts[1]);
   EXPECT_FALSE(bursts[2]);

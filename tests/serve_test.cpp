@@ -271,10 +271,7 @@ void expect_replay_equals_reference_loop(core::Transform transform,
     EXPECT_EQ(b.loss, a.loss) << "event " << e;
     EXPECT_EQ(b.holdback_accuracy, a.holdback_accuracy) << "event " << e;
     EXPECT_EQ(b.accepted, a.accepted) << "event " << e;
-    EXPECT_EQ(b.rollback, a.rollback) << "event " << e;
     EXPECT_EQ(b.benched, a.benched) << "event " << e;
-    EXPECT_EQ(b.checkpoint_generation, a.checkpoint_generation)
-        << "event " << e;
   }
 }
 

@@ -259,22 +259,6 @@ TEST(Ops, SoftmaxRows) {
   EXPECT_GT(x.at(1, 0), 0.99f);
 }
 
-TEST(Ops, SumDotNorm) {
-  const std::vector<float> a = {1, 2, 3}, b = {4, 5, 6};
-  EXPECT_FLOAT_EQ(t::sum(a), 6.0f);
-  EXPECT_FLOAT_EQ(t::dot(a, b), 32.0f);
-  EXPECT_FLOAT_EQ(t::squared_norm(a), 14.0f);
-}
-
-TEST(Ops, ClipInPlace) {
-  std::vector<float> xs = {-5, -1, 0, 1, 5};
-  const auto clipped = t::clip_inplace(xs, 2.0f);
-  EXPECT_EQ(clipped, 2u);
-  EXPECT_FLOAT_EQ(xs[0], -2.0f);
-  EXPECT_FLOAT_EQ(xs[4], 2.0f);
-  EXPECT_FLOAT_EQ(xs[2], 0.0f);
-}
-
 // -------------------------------------------------------------- im2col ---
 
 TEST(Im2col1d, AdjointIdentity) {
