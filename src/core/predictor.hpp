@@ -122,7 +122,11 @@ class PrionnPredictor {
   /// scripts, returning value + per-head confidence for each. The
   /// fallback chain and the serving subsystem funnel through here (or
   /// through predict_batch_mapped() below), and a sample's answer does
-  /// not depend on the batch it rides in.
+  /// not depend on the batch it rides in. The heads' forwards run
+  /// concurrently on util::ThreadPool::current() through
+  /// try_parallel_for, so they never wait for another thread's loop on
+  /// that pool (they run inline then), and the answers do not depend on
+  /// which schedule ran.
   std::vector<ConfidentPrediction> predict_batch(
       std::span<const std::string> scripts);
 

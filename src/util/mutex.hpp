@@ -40,6 +40,9 @@ class PRIONN_CAPABILITY("mutex") Mutex {
 class PRIONN_SCOPED_CAPABILITY ScopedLock {
  public:
   explicit ScopedLock(Mutex& mu) PRIONN_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
+  /// Adopt a lock the caller already holds (say, from a successful
+  /// try_lock()); it is released at end of scope like any other.
+  ScopedLock(Mutex& mu, std::adopt_lock_t) PRIONN_REQUIRES(mu) : mu_(mu) {}
   ~ScopedLock() PRIONN_RELEASE() { mu_.unlock(); }
 
   ScopedLock(const ScopedLock&) = delete;

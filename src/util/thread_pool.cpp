@@ -19,6 +19,15 @@ thread_local bool t_background = false;
 /// loop issued here is nested and runs inline.
 thread_local std::size_t t_chunk_depth = 0;
 
+/// Counts the calling thread as running a chunk body while it lives.
+class ChunkScope {
+ public:
+  ChunkScope() noexcept { ++t_chunk_depth; }
+  ~ChunkScope() { --t_chunk_depth; }
+  ChunkScope(const ChunkScope&) = delete;
+  ChunkScope& operator=(const ChunkScope&) = delete;
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) : ThreadPool(threads, false) {}
@@ -56,14 +65,13 @@ void ThreadPool::run_chunk(const Task& task, std::size_t chunk_id) {
       task.begin + chunk_id * per + std::min(chunk_id, extra);
   const std::size_t hi = lo + per + (chunk_id < extra ? 1 : 0);
   if (lo >= hi) return;
-  ++t_chunk_depth;
+  const ChunkScope scope;
   try {
     (*task.body)(lo, hi);
   } catch (...) {
     ScopedLock lock(mutex_);
     if (!first_error_) first_error_ = std::current_exception();
   }
-  --t_chunk_depth;
 }
 
 void ThreadPool::worker_loop(std::size_t worker_id) {
@@ -86,25 +94,18 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
   }
 }
 
-void ThreadPool::parallel_for_chunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, size());
-  if (chunks <= 1 || workers_.empty() || t_chunk_depth != 0) {
-    fn(begin, end);
-    return;
-  }
-  // One loop at a time: the single task_ slot and the generation protocol
-  // assume exactly one submitter, so concurrent callers queue here.
-  ScopedLock submit_lock(submit_mutex_);
+std::size_t ThreadPool::chunks_for(std::size_t begin,
+                                   std::size_t end) const {
+  if (workers_.empty() || t_chunk_depth != 0) return 1;
+  return std::min(end - begin, size());
+}
+
+void ThreadPool::fan_out(const Task& task) {
   // Workers with id >= chunks still wake and decrement remaining_, so the
   // partition below stays exact only while chunks <= workers + 1.
-  PRIONN_CHECK(chunks <= workers_.size() + 1)
-      << "ThreadPool: " << chunks << " chunks for " << workers_.size() + 1
-      << " threads";
-  const Task task{&fn, begin, end, chunks};
+  PRIONN_CHECK(task.chunks <= workers_.size() + 1)
+      << "ThreadPool: " << task.chunks << " chunks for "
+      << workers_.size() + 1 << " threads";
   {
     ScopedLock lock(mutex_);
     task_ = task;
@@ -126,11 +127,49 @@ void ThreadPool::parallel_for_chunks(
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void ThreadPool::parallel_for_chunks(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (begin >= end) return;
+  const std::size_t chunks = chunks_for(begin, end);
+  if (chunks <= 1) {
+    fn(begin, end);
+    return;
+  }
+  // One loop at a time: the single task_ slot and the generation protocol
+  // assume exactly one submitter, so concurrent callers queue here.
+  ScopedLock submit_lock(submit_mutex_);
+  fan_out({&fn, begin, end, chunks});
+}
+
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   parallel_for_chunks(begin, end, [&fn](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) fn(i);
   });
+}
+
+bool ThreadPool::try_parallel_for(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t)>& fn) {
+  if (begin >= end) return true;
+  const std::function<void(std::size_t, std::size_t)> body =
+      [&fn](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) fn(i);
+      };
+  const std::size_t chunks = chunks_for(begin, end);
+  if (chunks > 1) {
+    if (submit_mutex_.try_lock()) {
+      ScopedLock submit_lock(submit_mutex_, std::adopt_lock);
+      fan_out({&body, begin, end, chunks});
+      return true;
+    }
+  }
+  // Not fanned out: every index runs here, as one chunk, so the loops fn
+  // issues run inline as well and never queue for a pool either.
+  const ChunkScope scope;
+  body(begin, end);
+  return chunks <= 1;
 }
 
 ThreadPool& ThreadPool::global() {

@@ -1,8 +1,9 @@
 // Work-sharing thread pool used for data-parallel loops (GEMM tiles,
-// per-sample gradient computation, forest fitting). The pool follows the
-// OpenMP "parallel for" model: a static partition of the index range over a
-// fixed set of workers, which is the right shape for the regular,
-// equal-cost iterations that dominate this library.
+// per-sample gradient computation, forest fitting, the predictor's
+// heads). The pool follows the OpenMP "parallel for" model: a static
+// partition of the index range over a fixed set of workers, which is the
+// right shape for the regular, equal-cost iterations that dominate this
+// library.
 //
 // Two process-wide pools exist: global() for the foreground, and
 // background() for work that must yield the CPU to it, such as
@@ -10,6 +11,9 @@
 // (util::parallel_for, tensor::gemm) land on background() from a thread
 // that called enter_background(), and on global() from any other. A loop
 // issued from inside another loop's body runs inline (see parallel_for).
+// The serving batcher fans its heads out on global() too, but through
+// try_parallel_for, which never waits behind another submitter's loop
+// (a retrain_now() caller's head fits, say): it runs inline instead.
 #pragma once
 
 #include <cstddef>
@@ -42,15 +46,24 @@ class ThreadPool {
   /// concurrent callers interleave at per-loop granularity rather than
   /// corrupting the task state. That also makes them wait for each
   /// other's loops, which is why a background retrain issues its loops
-  /// on background() rather than on the pool serving uses. A loop issued
-  /// from inside a chunk body (of any pool) runs inline, as one chunk on
-  /// that thread: the submission lock is not reentrant and the workers
-  /// are busy, so fanning out again would deadlock. Inline keeps the
-  /// bits, because every loop in this library partitions independent
-  /// iterations (GEMM rows, forest trees, scripts) whose results do not
-  /// depend on which thread or chunk computes them.
+  /// on background(), and why the serving batcher issues its loop with
+  /// try_parallel_for. A loop issued from inside a chunk body (of any
+  /// pool) runs inline, as one chunk on that thread: the submission lock
+  /// is not reentrant and the workers are busy, so fanning out again
+  /// would deadlock. Inline keeps the bits, because every loop in this
+  /// library partitions independent iterations (GEMM rows, forest trees,
+  /// scripts, heads) whose results do not depend on which thread or
+  /// chunk computes them.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
+
+  /// parallel_for that never waits for another submitter's loop. It
+  /// takes the submission lock with try_lock; when another loop holds
+  /// it, or the loop is nested or has one index, every index runs on the
+  /// calling thread as one chunk, so the loops fn issues run inline too.
+  /// Returns false exactly when it ran inline because the pool was busy.
+  bool try_parallel_for(std::size_t begin, std::size_t end,
+                        const std::function<void(std::size_t)>& fn);
 
   /// Chunked variant: fn(chunk_begin, chunk_end) per worker — lets the body
   /// keep per-chunk scratch state without false sharing.
@@ -88,6 +101,12 @@ class ThreadPool {
     std::size_t chunks = 0;
   };
 
+  /// Number of chunks a loop over [begin, end) fans out into; 1 means
+  /// it runs inline (one iteration, no workers, or a nested loop).
+  std::size_t chunks_for(std::size_t begin, std::size_t end) const;
+  /// Publishes `task` to the workers, runs chunk 0 on the calling thread,
+  /// waits for the other chunks and rethrows the first error.
+  void fan_out(const Task& task) PRIONN_REQUIRES(submit_mutex_);
   void worker_loop(std::size_t worker_id);
   /// Runs one chunk of `task` on the calling thread. Takes a *copy* of the
   /// task descriptor made under the lock: the generation protocol
@@ -97,8 +116,9 @@ class ThreadPool {
   void run_chunk(const Task& task, std::size_t chunk_id);
 
   std::vector<std::thread> workers_;
-  /// Held for the whole duration of one parallel_for_chunks call: the
-  /// pool has a single task_ slot, so concurrent submitters take turns.
+  /// Held for the whole duration of one fanned-out loop: the pool has a
+  /// single task_ slot, so concurrent submitters take turns (or, through
+  /// try_parallel_for, run inline).
   Mutex submit_mutex_;
   Mutex mutex_;
   CondVar cv_start_;

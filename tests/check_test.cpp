@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -243,6 +244,119 @@ TEST(ThreadPoolStressTest, NestedLoopRunsInlineOnItsThread) {
          const std::function<void(std::size_t)>& fn) {
         prionn::util::parallel_for(begin, end, fn);
       });
+  // So does the non-waiting entry point, outer and inner.
+  expect_nested_loops_run_inline(
+      [&pool](std::size_t begin, std::size_t end,
+              const std::function<void(std::size_t)>& fn) {
+        pool.try_parallel_for(begin, end, fn);
+      });
+}
+
+/// A loop that holds `pool` from construction until release(): its
+/// index 0 parks on a latch, so the loop keeps the submission lock.
+class ParkedLoop {
+ public:
+  explicit ParkedLoop(ThreadPool& pool)
+      : thread_([this, &pool] {
+          pool.parallel_for(0, 2, [this](std::size_t i) {
+            if (i != 0) return;
+            held_.count_down();
+            release_.wait();
+          });
+          done_ = true;
+        }) {
+    held_.wait();
+  }
+  ~ParkedLoop() { release(); }
+  ParkedLoop(const ParkedLoop&) = delete;
+  ParkedLoop& operator=(const ParkedLoop&) = delete;
+
+  bool done() const { return done_.load(); }
+  void release() {
+    if (!thread_.joinable()) return;
+    release_.count_down();
+    thread_.join();
+  }
+
+ private:
+  std::latch held_{1};
+  std::latch release_{1};
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+/// Runs a 64-index loop on `pool` and reports whether some index ran off
+/// the calling thread: chunk k of a loop that fans out runs on worker k.
+bool fans_out(ThreadPool& pool) {
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  pool.parallel_for(0, ran_on.size(), [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  return std::count(ran_on.begin(), ran_on.end(), caller) !=
+         static_cast<std::ptrdiff_t>(ran_on.size());
+}
+
+TEST(ThreadPoolStressTest, TryParallelForCoversRangeExactlyOnce) {
+  ThreadPool pool(4);
+  for (std::size_t items : {1u, 2u, 3u, 5u, 97u}) {
+    for (int round = 0; round < 50; ++round) {
+      std::vector<std::atomic<int>> visits(items);
+      EXPECT_TRUE(pool.try_parallel_for(
+          10, 10 + items, [&](std::size_t i) { ++visits[i - 10]; }));
+      for (std::size_t i = 0; i < items; ++i)
+        ASSERT_EQ(visits[i].load(), 1)
+            << "index " << i << " of " << items << " round " << round;
+    }
+  }
+  EXPECT_TRUE(pool.try_parallel_for(5, 5, [](std::size_t) { FAIL(); }));
+}
+
+TEST(ThreadPoolStressTest, TryParallelForRunsInlineWhileThePoolIsBusy) {
+  ThreadPool pool(4);
+  ParkedLoop parked(pool);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(97);
+  std::vector<int> visits(ran_on.size(), 0);
+  std::vector<bool> nested_fanned(ran_on.size(), false);
+  EXPECT_FALSE(pool.try_parallel_for(0, ran_on.size(), [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    ++visits[i];
+    // The inline run is one chunk: a loop it issues is nested, runs
+    // inline as well, and so does not report the busy pool.
+    nested_fanned[i] = pool.try_parallel_for(0, 3, [](std::size_t) {});
+  }));
+  // It returned while the other loop still holds the pool.
+  EXPECT_FALSE(parked.done());
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << "index " << i;
+    EXPECT_EQ(visits[i], 1) << "index " << i;
+    EXPECT_TRUE(nested_fanned[i]) << "index " << i;
+  }
+  parked.release();
+  EXPECT_TRUE(parked.done());
+  EXPECT_TRUE(pool.try_parallel_for(0, 8, [](std::size_t) {}));
+  EXPECT_TRUE(fans_out(pool));
+}
+
+TEST(ThreadPoolStressTest, TryParallelForPropagatesAndReleasesThePool) {
+  ThreadPool pool(4);
+  const auto boom = [](std::size_t i) {
+    if (i == 33) throw std::runtime_error("boom");
+  };
+  for (int round = 0; round < 20; ++round) {
+    // Fanned out: the submission lock is released on the throwing path,
+    // so the next loop on the pool fans out rather than deadlocks.
+    EXPECT_THROW(pool.try_parallel_for(0, 64, boom), std::runtime_error);
+    ASSERT_TRUE(fans_out(pool)) << "round " << round;
+  }
+  {
+    // Inline because busy: the exception leaves this thread outside any
+    // chunk, so its later loops still fan out.
+    ParkedLoop parked(pool);
+    EXPECT_THROW(pool.try_parallel_for(0, 64, boom), std::runtime_error);
+  }
+  EXPECT_TRUE(fans_out(pool));
 }
 
 TEST(ThreadPoolStressTest, GlobalPoolHandlesEmptyAndTinyRanges) {

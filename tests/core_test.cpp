@@ -7,9 +7,11 @@
 #include <bit>
 #include <cmath>
 #include <iomanip>
+#include <latch>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/bins.hpp"
 #include "core/model_zoo.hpp"
@@ -446,7 +448,117 @@ TEST(Predictor, ConcurrentHeadsMatchInlineHeadsBitwise) {
   }
 }
 
+namespace {
+
+/// The batch tensor predict_batch_mapped() takes: the first `n` scripts'
+/// samples stacked along a leading axis.
+prionn::tensor::Tensor mapped_batch(const core::PrionnPredictor& p,
+                                    const std::vector<std::string>& scripts,
+                                    std::size_t n) {
+  std::vector<prionn::tensor::Tensor> samples;
+  for (std::size_t i = 0; i < n; ++i)
+    samples.push_back(p.map_sample(scripts[i]));
+  prionn::tensor::Shape shape{n};
+  for (std::size_t axis = 0; axis < samples[0].rank(); ++axis)
+    shape.push_back(samples[0].dim(axis));
+  prionn::tensor::Tensor batch(std::move(shape));
+  const std::size_t size = samples[0].size();
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy(samples[i].data(), samples[i].data() + size,
+              batch.data() + i * size);
+  return batch;
+}
+
+}  // namespace
+
+TEST(Predictor, ConcurrentInferenceHeadsMatchInlineBitwise) {
+  // predict_batch_mapped() runs its heads' forwards concurrently on the
+  // pool; issued from inside a pool chunk, the same loop runs the heads
+  // inline one after another. Both schedules must give the same bits.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  auto jobs = tiny_jobs(40);
+  std::vector<std::string> scripts;
+  for (const auto& j : jobs) scripts.push_back(j.script);
+  for (const auto transform :
+       {core::Transform::kSimple, core::Transform::kWord2Vec}) {
+    SCOPED_TRACE(core::transform_name(transform));
+    core::PrionnPredictor p(tiny_predictor(transform));
+    ASSERT_TRUE(p.options().predict_io);
+    p.fit_embedding(scripts);
+    p.train(jobs);
+    for (const std::size_t n : {1u, 32u}) {
+      SCOPED_TRACE(n);
+      const auto batch = mapped_batch(p, scripts, n);
+      const auto concurrent = p.predict_batch_mapped(batch);
+      std::vector<core::ConfidentPrediction> inline_heads;
+      prionn::util::parallel_for(0, 2, [&](std::size_t i) {
+        if (i == 0) inline_heads = p.predict_batch_mapped(batch);
+      });
+      ASSERT_EQ(concurrent.size(), n);
+      ASSERT_EQ(inline_heads.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto& a = concurrent[i];
+        const auto& b = inline_heads[i];
+        EXPECT_EQ(bits(a.value.runtime_minutes),
+                  bits(b.value.runtime_minutes));
+        EXPECT_EQ(bits(a.value.bytes_read), bits(b.value.bytes_read));
+        EXPECT_EQ(bits(a.value.bytes_written), bits(b.value.bytes_written));
+        EXPECT_EQ(bits(a.runtime_confidence), bits(b.runtime_confidence));
+        EXPECT_EQ(bits(a.read_confidence), bits(b.read_confidence));
+        EXPECT_EQ(bits(a.write_confidence), bits(b.write_confidence));
+      }
+    }
+  }
+}
+
 #if PRIONN_OBS_ENABLED
+TEST(Predictor, EachHeadForwardIsTimedAndTraced) {
+  auto& head_forwards =
+      prionn::obs::registry().latency("prionn_predict_head_latency_ns");
+  auto& inline_heads =
+      prionn::obs::registry().counter("prionn_predict_heads_inline_total");
+  auto& spans = prionn::obs::trace_buffer();
+  const auto jobs = tiny_jobs(20);
+  const std::vector<std::string> scripts{jobs[0].script, jobs[1].script};
+  auto& pool = prionn::util::ThreadPool::global();
+  for (const bool predict_io : {true, false}) {
+    auto opts = tiny_predictor();
+    opts.predict_io = predict_io;
+    core::PrionnPredictor p(opts);
+    p.train(jobs);
+    const std::size_t heads = predict_io ? 3 : 1;
+
+    spans.clear();
+    const std::uint64_t before = head_forwards.count();
+    const std::uint64_t inline_before = inline_heads.value();
+    p.predict_batch(scripts);
+    EXPECT_EQ(head_forwards.count(), before + heads);
+    EXPECT_EQ(inline_heads.value(), inline_before);
+    std::size_t head_spans = 0;
+    for (const auto& span : spans.snapshot())
+      if (std::string_view(span.name) == "predict.head_forward") ++head_spans;
+    EXPECT_EQ(head_spans, heads);
+
+    // With another thread's loop holding the pool, the heads run inline
+    // and are counted; one head never fans out, so it never is.
+    std::latch held(1), release(1);
+    std::thread parked([&] {
+      pool.parallel_for(0, 2, [&](std::size_t i) {
+        if (i != 0) return;
+        held.count_down();
+        release.wait();
+      });
+    });
+    held.wait();
+    p.predict_batch_mapped(mapped_batch(p, scripts, scripts.size()));
+    release.count_down();
+    parked.join();
+    const bool fans_out = predict_io && pool.size() > 1;
+    EXPECT_EQ(inline_heads.value(), inline_before + (fans_out ? heads : 0));
+    EXPECT_EQ(head_forwards.count(), before + 2 * heads);
+  }
+}
+
 TEST(Predictor, EachHeadFitIsTimedAndTraced) {
   auto& head_fits =
       prionn::obs::registry().latency("prionn_train_head_latency_ns");

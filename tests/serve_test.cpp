@@ -6,7 +6,11 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <latch>
 #include <span>
 #include <string>
 #include <thread>
@@ -20,6 +24,7 @@
 #include "tensor/tensor.hpp"
 #include "trace/workload.hpp"
 #include "util/fault.hpp"
+#include "util/thread_pool.hpp"
 
 namespace core = prionn::core;
 namespace serve = prionn::core::serve;
@@ -375,6 +380,61 @@ TEST(PredictionService, ConcurrentSubmitSurvivesBackgroundRetrain) {
   const auto prediction = service.predict_now(jobs[0]);
   EXPECT_EQ(prediction.source, core::PredictionSource::kNeuralNet);
   EXPECT_GT(prediction.confidence, 0.0);
+}
+
+TEST(PredictionService, BatcherDoesNotWaitOnABusyPool) {
+  // The batcher fans its heads out on global(), but never waits there:
+  // with another thread's loop holding the pool (a retrain_now() caller's
+  // head fits, say), it runs the heads itself and answers at once.
+  const auto jobs = tiny_jobs(40);
+  serve::ServiceOptions options = tiny_service();
+  options.background_retrain = false;
+  serve::PredictionService service(options);
+  for (const auto& job : jobs) service.complete(job);
+  ASSERT_TRUE(service.retrain_now());
+
+  const auto submit_all = [&] {
+    std::vector<std::future<core::ProvenancedPrediction>> futures;
+    for (const auto& job : jobs) futures.push_back(service.submit(job));
+    return futures;
+  };
+  std::vector<core::ProvenancedPrediction> idle;
+  for (auto& f : submit_all()) idle.push_back(f.get());
+
+  std::latch held(1), release(1);
+  std::thread parked([&] {
+    prionn::util::ThreadPool::global().parallel_for(
+        0, 2, [&](std::size_t i) {
+          if (i != 0) return;
+          held.count_down();
+          release.wait();
+        });
+  });
+  held.wait();
+  auto futures = submit_all();
+  // A bound, not a sleep: a batcher queued behind the parked loop would
+  // never answer, and the test must fail rather than hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::vector<bool> ready;
+  for (auto& f : futures)
+    ready.push_back(f.wait_until(deadline) == std::future_status::ready);
+  release.count_down();
+  parked.join();
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(ready[i]) << "job " << i << " waited on the busy pool";
+    const auto busy = futures[i].get();
+    EXPECT_EQ(busy.source, idle[i].source) << "job " << i;
+    EXPECT_EQ(bits(busy.value.runtime_minutes),
+              bits(idle[i].value.runtime_minutes));
+    EXPECT_EQ(bits(busy.value.bytes_read), bits(idle[i].value.bytes_read));
+    EXPECT_EQ(bits(busy.value.bytes_written),
+              bits(idle[i].value.bytes_written));
+    EXPECT_EQ(bits(busy.confidence), bits(idle[i].confidence));
+  }
+  EXPECT_EQ(idle[0].source, core::PredictionSource::kNeuralNet);
 }
 
 TEST(PredictionService, BackpressureShedsToFallbackChain) {
