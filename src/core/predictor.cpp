@@ -190,29 +190,22 @@ std::vector<ConfidentPrediction> PrionnPredictor::predict_batch_mapped(
   // and the layers' scratch is per thread, so the answers do not depend
   // on which thread runs which head. The loop never waits behind another
   // submitter's (a retrain's head fits): with the pool busy, the heads
-  // run one after another on this thread.
+  // run one after another on this thread. A head's exception propagates.
   const std::array<nn::Network*, 3> nets{&runtime_net_, &read_net_,
                                          &write_net_};
   const std::size_t heads = options_.predict_io ? 3 : 1;
   std::array<std::vector<nn::Network::Top1>, 3> top;
-  std::array<std::exception_ptr, 3> errors;
   const bool fanned_out = util::ThreadPool::current().try_parallel_for(
       0, heads, [&](std::size_t h) {
         PRIONN_OBS_SPAN("predict.head_forward");
         PRIONN_OBS_TIME("prionn_predict_head_latency_ns",
                         "wall time of one head's inference forward");
-        try {
-          top[h] = nets[h]->predict_top1(batch);
-        } catch (...) {
-          errors[h] = std::current_exception();
-        }
+        top[h] = nets[h]->predict_top1(batch);
       });
   if (!fanned_out)
     PRIONN_OBS_ADD("prionn_predict_heads_inline_total",
                    "head forwards run inline because the pool was busy",
                    heads);
-  for (const auto& error : errors)
-    if (error) std::rethrow_exception(error);
   const auto& runtime_top = top[0];
   const auto& read_top = top[1];
   const auto& write_top = top[2];

@@ -86,7 +86,10 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
       seen_generation = generation_;
       task = task_;
     }
-    if (worker_id < task.chunks) run_chunk(task, worker_id);
+    // Only workers that own a chunk report back, so the submitter waits
+    // for the threads doing its loop and not for the others' wakeups.
+    if (worker_id >= task.chunks) continue;
+    run_chunk(task, worker_id);
     {
       ScopedLock lock(mutex_);
       if (--remaining_ == 0) cv_done_.notify_all();
@@ -101,8 +104,8 @@ std::size_t ThreadPool::chunks_for(std::size_t begin,
 }
 
 void ThreadPool::fan_out(const Task& task) {
-  // Workers with id >= chunks still wake and decrement remaining_, so the
-  // partition below stays exact only while chunks <= workers + 1.
+  // Worker ids are 1..workers_.size(), so the partition below stays
+  // exact only while chunks <= workers + 1.
   PRIONN_CHECK(task.chunks <= workers_.size() + 1)
       << "ThreadPool: " << task.chunks << " chunks for "
       << workers_.size() + 1 << " threads";
@@ -110,7 +113,7 @@ void ThreadPool::fan_out(const Task& task) {
     ScopedLock lock(mutex_);
     task_ = task;
     first_error_ = nullptr;
-    remaining_ = workers_.size();
+    remaining_ = task.chunks - 1;
     ++generation_;
   }
   cv_start_.notify_all();
@@ -158,18 +161,20 @@ bool ThreadPool::try_parallel_for(
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       };
   const std::size_t chunks = chunks_for(begin, end);
-  if (chunks > 1) {
-    if (submit_mutex_.try_lock()) {
-      ScopedLock submit_lock(submit_mutex_, std::adopt_lock);
-      fan_out({&body, begin, end, chunks});
-      return true;
-    }
+  if (chunks <= 1) {
+    body(begin, end);
+    return true;
   }
-  // Not fanned out: every index runs here, as one chunk, so the loops fn
-  // issues run inline as well and never queue for a pool either.
+  if (submit_mutex_.try_lock()) {
+    ScopedLock submit_lock(submit_mutex_, std::adopt_lock);
+    fan_out({&body, begin, end, chunks});
+    return true;
+  }
+  // The pool is busy: every index runs here, as one chunk, so the loops
+  // fn issues run inline as well and never queue for a pool either.
   const ChunkScope scope;
   body(begin, end);
-  return chunks <= 1;
+  return false;
 }
 
 ThreadPool& ThreadPool::global() {

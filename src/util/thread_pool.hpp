@@ -59,9 +59,11 @@ class ThreadPool {
 
   /// parallel_for that never waits for another submitter's loop. It
   /// takes the submission lock with try_lock; when another loop holds
-  /// it, or the loop is nested or has one index, every index runs on the
-  /// calling thread as one chunk, so the loops fn issues run inline too.
-  /// Returns false exactly when it ran inline because the pool was busy.
+  /// it, every index runs on the calling thread as one chunk, so the
+  /// loops fn issues run inline too and never queue either. A nested or
+  /// one-index loop runs inline as parallel_for's does (one index's own
+  /// loops may then fan out, and wait). Returns false exactly when it
+  /// ran inline because the pool was busy.
   bool try_parallel_for(std::size_t begin, std::size_t end,
                         const std::function<void(std::size_t)>& fn);
 

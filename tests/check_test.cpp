@@ -312,6 +312,16 @@ TEST(ThreadPoolStressTest, TryParallelForCoversRangeExactlyOnce) {
   EXPECT_TRUE(pool.try_parallel_for(5, 5, [](std::size_t) { FAIL(); }));
 }
 
+TEST(ThreadPoolStressTest, TryParallelForOneIndexLetsItsLoopsFanOut) {
+  // A one-index loop on an idle pool runs its body as a plain call, as
+  // parallel_for does, so the body's own loops still use the workers.
+  ThreadPool pool(4);
+  bool inner_fanned_out = false;
+  EXPECT_TRUE(pool.try_parallel_for(
+      0, 1, [&](std::size_t) { inner_fanned_out = fans_out(pool); }));
+  EXPECT_TRUE(inner_fanned_out);
+}
+
 TEST(ThreadPoolStressTest, TryParallelForRunsInlineWhileThePoolIsBusy) {
   ThreadPool pool(4);
   ParkedLoop parked(pool);
