@@ -54,18 +54,28 @@ void FallbackPredictor::fit_baseline(
   // Fresh encoder per fit: the label ids must be a pure function of the
   // window, not of every job this process ever saw, or a resumed run
   // would encode the same window differently.
+  // Each script is parsed and encoded once; the three heads' datasets
+  // share those rows and differ only in their targets.
   encoder_ = trace::FeatureEncoder();
-  const auto fit_head = [&](auto target) {
+  ml::Dataset runtime(trace::ScriptFeatures::kCount);
+  ml::Dataset read(trace::ScriptFeatures::kCount);
+  ml::Dataset write(trace::ScriptFeatures::kCount);
+  for (ml::Dataset* d : {&runtime, &read, &write}) d->reserve(window.size());
+  for (const auto& job : window) {
+    const auto row = encoder_.encode(trace::parse_script(job.script));
+    const std::span<const double> x(row.data(), row.size());
+    runtime.add_row(x, job.runtime_minutes);
+    read.add_row(x, job.bytes_read);
+    write.add_row(x, job.bytes_written);
+  }
+  const auto fit_head = [&](const ml::Dataset& data) {
     auto rf = std::make_unique<ml::RandomForestRegressor>(options_.forest);
-    rf->fit(encoder_.encode_jobs(window, target));
+    rf->fit(data);
     return rf;
   };
-  runtime_rf_ = fit_head(
-      [](const trace::JobRecord& j) { return j.runtime_minutes; });
-  read_rf_ =
-      fit_head([](const trace::JobRecord& j) { return j.bytes_read; });
-  write_rf_ =
-      fit_head([](const trace::JobRecord& j) { return j.bytes_written; });
+  runtime_rf_ = fit_head(runtime);
+  read_rf_ = fit_head(read);
+  write_rf_ = fit_head(write);
   baseline_ready_ = true;
 }
 

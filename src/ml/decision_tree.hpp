@@ -39,8 +39,11 @@ class DecisionTreeRegressor : public Regressor {
     static constexpr std::size_t kLeaf = static_cast<std::size_t>(-1);
   };
 
-  std::size_t build(const Dataset& data, std::vector<std::size_t>& rows,
-                    std::size_t lo, std::size_t hi, std::size_t level);
+  // Per-fit scratch: the sample's rows and its presorted feature columns.
+  struct Workspace;
+
+  std::size_t build(const Dataset& data, Workspace& ws, std::size_t lo,
+                    std::size_t hi, std::size_t level);
 
   DecisionTreeOptions options_;
   std::vector<Node> nodes_;

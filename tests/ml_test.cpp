@@ -2,14 +2,23 @@
 // baselines) and its dataset/encoding plumbing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
 #include <numeric>
+#include <sstream>
+#include <string>
+#include <string_view>
 
+#include "core/fallback.hpp"
 #include "ml/dataset.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/knn.hpp"
 #include "ml/label_encoder.hpp"
 #include "ml/random_forest.hpp"
+#include "trace/features.hpp"
+#include "trace/workload.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -302,4 +311,174 @@ TEST(Baselines, ForestAtLeastMatchesPeersOnCategoricalData) {
       prionn::util::mean_absolute_error(truth, knn.predict_all(test));
   EXPECT_LE(rf_mae, dt_mae * 1.05);
   EXPECT_LT(rf_mae, knn_mae);
+}
+
+// ------------------------------------------------ golden forest digests ---
+
+namespace {
+
+/// FNV-1a over bit patterns, as `Pipeline.TurnaroundBitsMatchGoldenDigests`
+/// digests its turnarounds.
+class Fnv1a {
+ public:
+  void add(std::uint64_t bits) {
+    for (int b = 0; b < 8; ++b, bits >>= 8) {
+      h_ ^= bits & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::string_view s) {
+    for (const char c : s) {
+      h_ ^= static_cast<unsigned char>(c);
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::string hex() const {
+    std::ostringstream os;
+    os << std::hex << std::setw(16) << std::setfill('0') << h_;
+    return os.str();
+  }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/// `trees` bootstrap trees (duplicate rows included), each digested by
+/// node_count(), depth() and predict() on every row of `d`; then a forest
+/// with `opts`, digested by predict() on every row.
+std::string forest_digest(const ml::Dataset& d, std::size_t trees,
+                          const ml::RandomForestOptions& opts) {
+  Fnv1a h;
+  prionn::util::Rng rng(opts.seed);
+  std::vector<std::size_t> rows(d.rows());
+  for (std::size_t t = 0; t < trees; ++t) {
+    for (auto& r : rows)
+      r = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(d.rows()) - 1));
+    ml::DecisionTreeRegressor tree(opts.tree);
+    tree.fit_rows(d, rows);
+    h.add(static_cast<std::uint64_t>(tree.node_count()));
+    h.add(static_cast<std::uint64_t>(tree.depth()));
+    for (std::size_t r = 0; r < d.rows(); ++r) h.add(tree.predict(d.row(r)));
+  }
+  ml::RandomForestRegressor forest(opts);
+  forest.fit(d);
+  for (std::size_t r = 0; r < d.rows(); ++r) h.add(forest.predict(d.row(r)));
+  return h.hex();
+}
+
+/// Small-integer features and targets with one row in five a copy of an
+/// earlier row: ties in x, in y and in whole rows at every node.
+ml::Dataset tie_heavy(std::size_t n, std::size_t features, double levels,
+                      std::uint64_t seed) {
+  prionn::util::Rng rng(seed);
+  ml::Dataset d(features);
+  std::vector<double> x(features);
+  for (std::size_t i = 0; i < n; ++i) {
+    double y;
+    if (i > 0 && rng.uniform(0.0, 1.0) < 0.2) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      const auto src = d.row(j);
+      x.assign(src.begin(), src.end());
+      y = d.target(j);
+    } else {
+      for (auto& v : x) v = std::floor(rng.uniform(0.0, levels));
+      y = x[0] + 2.0 * (x[1] > 1.0 ? 1.0 : 0.0) +
+          std::floor(rng.uniform(0.0, 3.0));
+    }
+    d.add_row(x, y);
+  }
+  return d;
+}
+
+}  // namespace
+
+TEST(RandomForest, FitMatchesGoldenDigests) {
+  // Recorded before the split search read presorted feature columns;
+  // any change to the trees' splits or leaf values moves a digest.
+  struct TieCase {
+    std::size_t rows, features;
+    double levels;
+    std::uint64_t seed;
+    std::size_t max_depth, min_samples_leaf;
+    const char* digest;
+  };
+  const TieCase tie_cases[] = {
+      {200, 4, 3.0, 1, 24, 1, "b7345b525a972d58"},
+      {300, 5, 4.0, 2, 6, 2, "0f47d31be26d8417"},
+      {250, 3, 2.0, 3, 3, 4, "9f8484af8b6b324a"},
+      {400, 6, 5.0, 4, 30, 3, "1eed31c6bf64822b"},
+      {150, 2, 3.0, 5, 1, 1, "d5ac56cfe395e4e6"},
+  };
+  for (const TieCase& c : tie_cases) {
+    ml::RandomForestOptions opts;
+    opts.trees = 12;
+    opts.seed = c.seed;
+    opts.tree.max_depth = c.max_depth;
+    opts.tree.min_samples_leaf = c.min_samples_leaf;
+    EXPECT_EQ(forest_digest(tie_heavy(c.rows, c.features, c.levels, c.seed),
+                            20, opts),
+              c.digest)
+        << "tie-heavy seed " << c.seed;
+  }
+
+  // The serving fallback's three forests on 500-job Cab windows: its
+  // answers for every window job, and bootstrap trees on the same rows.
+  // The windows encode to the same bits in every build, but where the
+  // compiler contracts the split search's multiply-adds into FMAs (the
+  // -march=native build on an FMA host) the sums of squared byte targets
+  // round differently, so these digests are keyed by that. The small-
+  // integer tie-heavy sums above are exact either way.
+  struct WindowCase {
+    std::uint64_t seed;
+    const char* fallback_digest;
+    const char* tree_digest;
+  };
+  const WindowCase window_cases[] = {
+#if defined(__FMA__)
+      {1, "4487c219475eaa35", "80122a52e6d0b56e"},
+      {2, "cab1028967094302", "fcabeaac7d72f375"},
+#else
+      {1, "80433c1cf13c6c87", "e6213a53447a60b2"},
+      {2, "840ba4b49394a7c7", "0163313d50483e52"},
+#endif
+  };
+  for (const WindowCase& c : window_cases) {
+    prionn::trace::WorkloadGenerator gen(
+        prionn::trace::WorkloadOptions::cab(600, c.seed));
+    auto jobs = prionn::trace::completed_jobs(gen.generate());
+    ASSERT_GE(jobs.size(), 500u);
+    jobs.resize(500);
+
+    prionn::core::FallbackPredictor fallback;
+    fallback.fit_baseline(jobs);
+    Fnv1a answers;
+    for (const auto& job : jobs) {
+      const auto p = fallback.predict(nullptr, job);
+      ASSERT_EQ(p.source, prionn::core::PredictionSource::kRandomForest);
+      answers.add(p.value.runtime_minutes);
+      answers.add(p.value.bytes_read);
+      answers.add(p.value.bytes_written);
+    }
+    EXPECT_EQ(answers.hex(), c.fallback_digest) << "window seed " << c.seed;
+
+    using Job = prionn::trace::JobRecord;
+    double (*const targets[])(const Job&) = {
+        [](const Job& j) { return j.runtime_minutes; },
+        [](const Job& j) { return j.bytes_read; },
+        [](const Job& j) { return j.bytes_written; },
+    };
+    Fnv1a trees;
+    for (const auto target : targets) {
+      prionn::trace::FeatureEncoder encoder;
+      ml::RandomForestOptions opts;
+      opts.trees = 10;
+      opts.seed = c.seed;
+      trees.add(std::string_view(
+          forest_digest(encoder.encode_jobs(jobs, target), 10, opts)));
+    }
+    EXPECT_EQ(trees.hex(), c.tree_digest) << "window seed " << c.seed;
+  }
 }
