@@ -53,9 +53,8 @@ void FallbackPredictor::fit_baseline(
                  "random-forest baseline refits");
   // Fresh encoder per fit: the label ids must be a pure function of the
   // window, not of every job this process ever saw, or a resumed run
-  // would encode the same window differently.
-  // Each script is parsed and encoded once; the three heads' datasets
-  // share those rows and differ only in their targets.
+  // would encode the same window differently. Each script is parsed and
+  // encoded once; the three heads' datasets differ only in their targets.
   encoder_ = trace::FeatureEncoder();
   ml::Dataset runtime(trace::ScriptFeatures::kCount);
   ml::Dataset read(trace::ScriptFeatures::kCount);
